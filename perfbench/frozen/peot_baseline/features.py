@@ -1,0 +1,231 @@
+"""Per-window signal features and their extraction power cost.
+
+Three feature kinds are supported: line-length (mean absolute first
+difference, the cheapest), population variance, and band power (mean
+squared output of a band-pass FIR filter, the most expensive because of
+the filtering stage).  Relative extraction costs come from a user-editable
+cost table normalized so line-length costs 1.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .data import Recording
+from .errors import ConfigError, InvalidInputError
+
+LINE_LENGTH = "line_length"
+VARIANCE = "variance"
+BAND_POWER = "band_power"
+FEATURE_KINDS = (LINE_LENGTH, VARIANCE, BAND_POWER)
+
+# windowed-sinc design, Hamming window; order 64 => 65 taps
+FIR_ORDER = 64
+
+# Relative per-feature extraction cost.  Only the ordering (line-length
+# cheapest, band power dominated by its FIR stage) is physically grounded;
+# absolute ratios are a documented, configurable default.
+DEFAULT_COST_TABLE = {LINE_LENGTH: 1.0, VARIANCE: 3.0, BAND_POWER: 25.0}
+
+DEFAULT_BANDS = (
+    (1.0, 4.0),
+    (4.0, 8.0),
+    (8.0, 12.0),
+    (12.0, 30.0),
+    (30.0, 60.0),
+    (60.0, 100.0),
+)
+
+
+@dataclass(frozen=True)
+class FeatureEntry:
+    """One column of the global feature space: a feature of one channel."""
+
+    channel: int
+    kind: str
+    band: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.kind not in FEATURE_KINDS:
+            raise InvalidInputError(f"unknown feature kind {self.kind!r}")
+        if self.kind == BAND_POWER:
+            if self.band is None or len(self.band) != 2:
+                raise InvalidInputError("band_power entries need a (lo, hi) band")
+            object.__setattr__(self, "band", (float(self.band[0]), float(self.band[1])))
+        elif self.band is not None:
+            raise InvalidInputError(f"{self.kind} takes no band parameter")
+        if self.channel < 0:
+            raise InvalidInputError("channel index must be >= 0")
+
+    def label(self) -> str:
+        if self.kind == BAND_POWER:
+            lo, hi = self.band
+            return f"ch{self.channel}:bp[{lo:g},{hi:g}]"
+        return f"ch{self.channel}:{'ll' if self.kind == LINE_LENGTH else 'var'}"
+
+
+@dataclass
+class FeatureSpec:
+    """Ordered feature entries; the order defines the global feature index."""
+
+    entries: list[FeatureEntry]
+
+    @property
+    def n_features(self) -> int:
+        return len(self.entries)
+
+    def validate_for(self, n_channels: int, fs: float) -> None:
+        for entry in self.entries:
+            if entry.channel >= n_channels:
+                raise InvalidInputError(
+                    f"feature entry addresses channel {entry.channel}, "
+                    f"recording has {n_channels}"
+                )
+            if entry.kind == BAND_POWER:
+                lo, hi = entry.band
+                if not 0.0 < lo < hi < fs / 2.0:
+                    raise InvalidInputError(
+                        f"band ({lo}, {hi}) must satisfy 0 < lo < hi < fs/2 = {fs / 2}"
+                    )
+
+    def labels(self) -> list[str]:
+        return [e.label() for e in self.entries]
+
+    def to_doc(self) -> list[dict]:
+        out = []
+        for e in self.entries:
+            d = {"channel": e.channel, "kind": e.kind}
+            if e.band is not None:
+                d["band"] = list(e.band)
+            out.append(d)
+        return out
+
+    @classmethod
+    def from_doc(cls, doc) -> "FeatureSpec":
+        if not isinstance(doc, list):
+            raise ConfigError("feature spec document must be a JSON list")
+        entries = []
+        for item in doc:
+            try:
+                band = tuple(item["band"]) if "band" in item else None
+                entries.append(
+                    FeatureEntry(channel=int(item["channel"]),
+                                 kind=str(item["kind"]), band=band)
+                )
+            except (KeyError, TypeError, InvalidInputError) as exc:
+                raise ConfigError(f"bad feature spec entry {item!r}: {exc}") from exc
+        return cls(entries=entries)
+
+
+def default_feature_spec(n_channels: int, fs: float,
+                         bands=DEFAULT_BANDS) -> FeatureSpec:
+    """Line-length, variance, and one band-power per band, for each channel."""
+    entries = []
+    for ch in range(n_channels):
+        entries.append(FeatureEntry(ch, LINE_LENGTH))
+        entries.append(FeatureEntry(ch, VARIANCE))
+        for lo, hi in bands:
+            if hi < fs / 2.0:
+                entries.append(FeatureEntry(ch, BAND_POWER, (lo, hi)))
+    return FeatureSpec(entries=entries)
+
+
+# ---------------------------------------------------------------------------
+# feature kernels
+
+
+def line_length(samples) -> float:
+    """Mean absolute first difference, (1/d) * sum |x[n] - x[n-1]|."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidInputError("line_length needs a 1-D window of >= 2 samples")
+    return float(np.sum(np.abs(np.diff(x))) / x.size)
+
+
+def variance(samples) -> float:
+    """Population variance of the window."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidInputError("variance needs a 1-D window of >= 2 samples")
+    return float(np.var(x))
+
+
+def design_bandpass(lo: float, hi: float, fs: float,
+                    order: int = FIR_ORDER) -> np.ndarray:
+    """Windowed-sinc band-pass taps (difference of sincs, Hamming window).
+
+    The impulse response is symmetric (linear phase), length ``order + 1``.
+    """
+    if not 0.0 < lo < hi < fs / 2.0:
+        raise InvalidInputError(
+            f"band ({lo}, {hi}) must satisfy 0 < lo < hi < fs/2 = {fs / 2}"
+        )
+    n = np.arange(order + 1) - order / 2.0
+
+    def lowpass(fc):
+        r = 2.0 * fc / fs
+        return r * np.sinc(r * n)
+
+    taps = (lowpass(hi) - lowpass(lo)) * np.hamming(order + 1)
+    return taps
+
+
+def band_power(samples, fs: float, lo: float, hi: float,
+               order: int = FIR_ORDER) -> float:
+    """Mean squared band-pass filter output, warm-up samples discarded.
+
+    The first ``order`` filter outputs depend on the implicit zero history
+    and are dropped rather than zero-padded, so short windows are not
+    biased by the edge transient.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidInputError("band_power needs a 1-D window")
+    if x.size < order + 1:
+        raise InvalidInputError(
+            f"band_power needs at least {order + 1} samples, got {x.size}"
+        )
+    taps = design_bandpass(lo, hi, fs, order)
+    y = np.convolve(x, taps)[order:x.size]
+    return float(np.mean(y * y))
+
+
+_KERNELS = {
+    LINE_LENGTH: lambda x, fs, entry: line_length(x),
+    VARIANCE: lambda x, fs, entry: variance(x),
+    BAND_POWER: lambda x, fs, entry: band_power(x, fs, *entry.band),
+}
+
+
+def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
+    """Feature matrix: one row per window, one column per spec entry."""
+    spec.validate_for(recording.n_channels, recording.fs)
+    n = recording.n_windows
+    out = np.empty((n, spec.n_features), dtype=np.float64)
+    for j, entry in enumerate(spec.entries):
+        kernel = _KERNELS[entry.kind]
+        channel = recording.windows[:, entry.channel, :]
+        for i in range(n):
+            out[i, j] = kernel(channel[i], recording.fs, entry)
+    return out
+
+
+def feature_cost_vector(spec: FeatureSpec, table: dict) -> np.ndarray:
+    """Per-feature-column extraction cost, priced from the cost table."""
+    validate_cost_table(table)
+    costs = np.empty(spec.n_features, dtype=np.float64)
+    for j, entry in enumerate(spec.entries):
+        if entry.kind not in table:
+            raise ConfigError(f"cost table does not price kind {entry.kind!r}")
+        costs[j] = float(table[entry.kind])
+    return costs
+
+
+def validate_cost_table(table: dict) -> None:
+    if not isinstance(table, dict) or not table:
+        raise ConfigError("cost table must be a non-empty mapping")
+    for kind, cost in table.items():
+        if kind not in FEATURE_KINDS:
+            raise ConfigError(f"cost table prices unknown kind {kind!r}")
+        if not float(cost) > 0:
+            raise ConfigError(f"cost for {kind!r} must be > 0, got {cost!r}")
