@@ -10,7 +10,7 @@ variant.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -44,16 +44,11 @@ class GbtConfig:
             raise InvalidInputError("regularization weights must be >= 0")
 
     def to_doc(self) -> dict:
-        return {
-            "n_trees": self.n_trees, "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "min_samples_leaf": self.min_samples_leaf,
-            "reg_lambda": self.reg_lambda, "cost_lambda": self.cost_lambda,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GbtConfig":
-        cfg = cls(**{k: doc[k] for k in cls().to_doc() if k in doc})
+        cfg = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
         cfg.validate()
         return cfg
 
@@ -103,18 +98,6 @@ class AxisTree:
 
     def leaf_values(self, X) -> np.ndarray:
         return self.value[self.walk(X)]
-
-    def path_lengths(self, X) -> np.ndarray:
-        """Internal nodes visited per sample (== depth of the reached leaf)."""
-        return self.node_depth[self.walk(X)]
-
-    def leaf_partition(self, X) -> dict[int, tuple]:
-        """Sample index sets per reached leaf (structure-free comparison)."""
-        leaves = self.walk(X)
-        out = {}
-        for leaf in np.unique(leaves):
-            out[int(leaf)] = tuple(np.flatnonzero(leaves == leaf))
-        return out
 
     def to_doc(self) -> dict:
         return {name: serialize.encode_array(getattr(self, name))
@@ -326,14 +309,6 @@ def predict_gbt(ensemble: GbtEnsemble, X):
     return margins, probs, labels
 
 
-def gbt_logistic_loss(ensemble: GbtEnsemble, X, y) -> float:
-    margins = ensemble.margins(X)
-    y = np.asarray(y, dtype=np.float64)
-    # log(1 + exp(-z)) computed stably
-    z = np.where(y > 0.5, margins, -margins)
-    return float(np.mean(np.logaddexp(0.0, -z)))
-
-
 def quantize_gbt(ensemble: GbtEnsemble, threshold_bits: int = 10,
                  leaf_bits: int = 3) -> GbtEnsemble:
     """Snap thresholds (per-feature min-max grids) and leaves (global grid).
@@ -429,6 +404,14 @@ def train_gbt_multiclass(X, y, config: GbtConfig, cost_vec=None):
     ensembles = [train_gbt(X, (y == k).astype(np.int64), config, cost_vec)
                  for k in range(n_classes)]
     return GbtOvR(ensembles)
+
+
+def quantize_model(model):
+    """The PEGB compression: ``quantize_gbt`` on an ensemble, or on every
+    member of a one-vs-rest model."""
+    if isinstance(model, GbtOvR):
+        return GbtOvR([quantize_gbt(e) for e in model.ensembles])
+    return quantize_gbt(model)
 
 
 def predict_labels(model, X) -> np.ndarray:

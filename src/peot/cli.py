@@ -22,7 +22,6 @@ from .evaluation import (
     TASK_BENCHMARK_PRESETS,
     benchmark_report,
     compute_metrics,
-    make_folds,
     report_to_csv,
     tradeoff_sweep,
 )
@@ -125,10 +124,18 @@ def _load_spec_and_costs(resolved, recording) -> tuple[FeatureSpec, dict]:
     return spec, table
 
 
-def _featurize(container, resolved):
-    """(X, y, cost_vec, pipeline_doc) from either container kind."""
+def _featurize(container, resolved, stored=None):
+    """(X, y, cost_vec, pipeline_doc) from either container kind.
+
+    A recording is featurised with the ``stored`` pipeline of a model
+    document when that has a feature spec, else with the resolved options.
+    """
     if isinstance(container, data.Recording):
-        spec, table = _load_spec_and_costs(resolved, container)
+        if stored and stored["feature_spec"]:
+            spec = FeatureSpec.from_doc(stored["feature_spec"])
+            table = stored["cost_table"]
+        else:
+            spec, table = _load_spec_and_costs(resolved, container)
         X = extract_features(container, spec)
         c = feature_cost_vector(spec, table)
         pipeline = {"feature_spec": spec.to_doc(), "cost_table": table}
@@ -138,9 +145,9 @@ def _featurize(container, resolved):
     return X, container.y, c, {"feature_spec": None, "cost_table": None}
 
 
-def _load_featurized(path, resolved):
+def _load_featurized(path, resolved, stored=None):
     container = data.load_container(path)
-    X, y, c, pipeline = _featurize(container, resolved)
+    X, y, c, pipeline = _featurize(container, resolved, stored)
     return container, X, y, c, pipeline
 
 
@@ -215,10 +222,13 @@ def cmd_train(args):
         raise ConfigError("--dataset is required")
     if resolved["model"] not in MODEL_TYPES:
         raise ConfigError(f"--model must be one of {MODEL_TYPES}")
+    holdout = float(resolved["holdout"])
+    if not 0.0 <= holdout < 1.0:
+        raise ConfigError(f"--holdout must lie in [0, 1), got {holdout}")
     container, X, y, c, pipeline = _load_featurized(resolved["dataset"], resolved)
     n_classes = int(y.max()) + 1
     seed = int(resolved["seed"])
-    tr_idx, te_idx = _holdout_split(X.shape[0], float(resolved["holdout"]), seed)
+    tr_idx, te_idx = _holdout_split(X.shape[0], holdout, seed)
 
     if resolved["model"] == "peot":
         cfg = TrainConfig(
@@ -246,11 +256,7 @@ def cmd_train(args):
             cost_vec=c if gcfg.cost_lambda > 0 else None,
         )
         if resolved["model"] == "pegb":
-            if isinstance(model, boosting.GbtOvR):
-                model = boosting.GbtOvR(
-                    [boosting.quantize_gbt(e) for e in model.ensembles])
-            else:
-                model = boosting.quantize_gbt(model)
+            model = boosting.quantize_model(model)
         predict = lambda Z: boosting.predict_labels(model, Z)
         train_cfg_doc = gcfg.to_doc()
 
@@ -261,7 +267,7 @@ def cmd_train(args):
     doc["train"] = {
         "config": train_cfg_doc,
         "seed": seed,
-        "holdout": float(resolved["holdout"]),
+        "holdout": holdout,
         "dataset_fingerprint": container.fingerprint(),
         "test_indices": te_idx.tolist(),
         "n_classes": n_classes,
@@ -305,15 +311,7 @@ def cmd_compress(args):
     doc, model = _load_model_doc(resolved["model"])
     if not isinstance(model, tree_mod.ObliqueTree):
         raise ConfigError("compress applies to oblique-tree models")
-    container = data.load_container(resolved["dataset"])
-    if isinstance(container, data.Recording) and doc["pipeline"]["feature_spec"]:
-        spec = FeatureSpec.from_doc(doc["pipeline"]["feature_spec"])
-        table = doc["pipeline"]["cost_table"]
-        X = extract_features(container, spec)
-        y = container.labels
-        c = feature_cost_vector(spec, table)
-    else:
-        _, X, y, c, _ = _featurize(container, resolved)
+    _, X, y, c, _ = _load_featurized(resolved["dataset"], resolved, doc["pipeline"])
     train_doc = doc["train"]
     cfg = TrainConfig.from_doc(train_doc["config"]) if "depth" in train_doc["config"] \
         else TrainConfig()
@@ -352,14 +350,8 @@ def cmd_eval(args):
     if not resolved["model"] or not resolved["dataset"]:
         raise ConfigError("--model and --dataset are required")
     doc, model = _load_model_doc(resolved["model"])
-    container = data.load_container(resolved["dataset"])
-    if isinstance(container, data.Recording) and doc["pipeline"]["feature_spec"]:
-        spec = FeatureSpec.from_doc(doc["pipeline"]["feature_spec"])
-        X = extract_features(container, spec)
-        y = container.labels
-        c = feature_cost_vector(spec, doc["pipeline"]["cost_table"])
-    else:
-        _, X, y, c, _ = _featurize(container, resolved)
+    container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved,
+                                             doc["pipeline"])
     n_classes = int(doc["train"].get("n_classes", int(y.max()) + 1))
     same_data = container.fingerprint() == doc["train"]["dataset_fingerprint"]
     te = np.asarray(doc["train"].get("test_indices", []), dtype=np.int64)

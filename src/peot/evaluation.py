@@ -13,10 +13,9 @@ import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
-from . import boosting, compression, cost, serialize, tree as tree_mod
-from .boosting import GbtConfig, GbtEnsemble, GbtOvR
+from . import boosting, compression, cost, tree as tree_mod
+from .boosting import GbtConfig, GbtOvR
 from .errors import InvalidInputError, NumericError
 from .tree import ObliqueTree, TrainConfig
 
@@ -251,11 +250,6 @@ def tradeoff_sweep(X, y, cost_vec, lambda_grid, depth_grid,
     return points, buf.getvalue()
 
 
-def spearman(a, b) -> float:
-    rho = spearmanr(a, b).statistic
-    return float(rho)
-
-
 # ---------------------------------------------------------------------------
 # benchmark report
 
@@ -371,10 +365,8 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
 
 
 def _fit_pegb(Xtr, ytr, config: GbtConfig, cost_vec):
-    model = boosting.train_gbt_multiclass(Xtr, ytr, config, cost_vec)
-    if isinstance(model, GbtOvR):
-        return GbtOvR([boosting.quantize_gbt(e) for e in model.ensembles])
-    return boosting.quantize_gbt(model)
+    return boosting.quantize_model(
+        boosting.train_gbt_multiclass(Xtr, ytr, config, cost_vec))
 
 
 def _fit_peot(Xtr, ytr, config: TrainConfig, cost_vec, n_classes, seed,

@@ -101,11 +101,3 @@ def model_from_doc(doc: dict):
         from .boosting import GbtOvR
         return GbtOvR.from_doc(doc)
     raise DataError(f"unknown model kind {kind!r}")
-
-
-def save_model(model, path) -> None:
-    write_document(model.to_doc(), path)
-
-
-def load_model(path):
-    return model_from_doc(read_document(path))

@@ -4,7 +4,7 @@ The tree is a complete binary tree of depth D.  Each internal node routes
 with probability sigma(w2 . relu(W1 x + b1) + b2) to its right child, so a
 sample reaches every leaf with the product of branch probabilities and the
 whole model is differentiable.  Deployment uses single-path inference: only
-the most probable root-to-leaf path is evaluated.
+the most probable root-to-leaf path is evaluated (``ObliqueTree.route``).
 
 Internal nodes are stored breadth-first.  With n = 2^D - 1 internal nodes,
 the full-tree index space has 2n + 1 slots; the children of internal node i
@@ -12,7 +12,7 @@ sit at 2i + 1 and 2i + 2, and leaf l occupies full-tree slot n + l.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -79,18 +79,11 @@ class TrainConfig:
             raise InvalidInputError(f"unknown l1_mode {self.l1_mode!r}")
 
     def to_doc(self) -> dict:
-        return {
-            "depth": self.depth, "hidden": self.hidden, "epochs": self.epochs,
-            "batch_size": self.batch_size, "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer, "momentum": self.momentum,
-            "lam": self.lam, "warmup_epochs": self.warmup_epochs,
-            "seed": self.seed, "init_scale": self.init_scale,
-            "class_weight": self.class_weight, "l1_mode": self.l1_mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TrainConfig":
-        cfg = cls(**{k: doc[k] for k in cls().to_doc() if k in doc})
+        cfg = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
         cfg.validate()
         return cfg
 
@@ -237,32 +230,21 @@ class ObliqueTree:
         S = self.forward(X).S
         return S[:, 0] if single else S.T
 
-    def predict_single_path(self, x):
-        """Most-probable-path inference for one sample.
+    def route(self, x):
+        """Hard single-path routing of a batch.
 
-        Follows the right branch iff the routing probability exceeds 0.5
-        (ties go left).  Returns (label, visited internal nodes, leaf index);
-        label ties resolve to the lowest class index.
+        At every level a sample goes right iff its routing logit
+        ``w2 . relu(W1 z + b1) + b2`` is > 0; a logit of exactly 0 goes left.
+        Returns ``(path, leaf)``: the internal node visited at each level,
+        shape (B, depth), and the reached leaf index, shape (B,).  Only the
+        visited nodes are evaluated.
         """
-        X, single = self._as_batch(x)
-        if not single:
-            raise InvalidInputError("predict_single_path takes a single sample")
-        node = 0
-        visited = []
-        for _ in range(self.depth):
-            visited.append(node)
-            p = self.routing_probability(node, x)
-            node = 2 * node + 1 + (1 if p > 0.5 else 0)
-        leaf = node - self.n_internal
-        label = int(np.argmax(self.leaf_logits[leaf]))
-        return label, visited, leaf
-
-    def single_path_leaves(self, x) -> np.ndarray:
-        """Vectorized hard routing: leaf index per sample."""
         X, _ = self._as_batch(x)
         Z = self.standardize(X)
+        path = np.empty((Z.shape[0], self.depth), dtype=np.int64)
         node = np.zeros(Z.shape[0], dtype=np.int64)
-        for _ in range(self.depth):
+        for level in range(self.depth):
+            path[:, level] = node
             nxt = np.empty_like(node)
             for u in np.unique(node):
                 sel = node == u
@@ -270,12 +252,29 @@ class ObliqueTree:
                 logit = hid @ self.w2[u] + self.b2[u]
                 nxt[sel] = 2 * u + 1 + (logit > 0.0)
             node = nxt
-        return node - self.n_internal
+        return path, node - self.n_internal
+
+    def predict_single_path(self, x):
+        """Single-path inference for one sample, by the rule of ``route``.
+
+        Returns (label, visited internal nodes, leaf index); label ties
+        resolve to the lowest class index.
+        """
+        X, single = self._as_batch(x)
+        if not single:
+            raise InvalidInputError("predict_single_path takes a single sample")
+        path, leaf = self.route(X)
+        leaf = int(leaf[0])
+        return int(np.argmax(self.leaf_logits[leaf])), path[0].tolist(), leaf
 
     def predict(self, x) -> np.ndarray:
-        """Deployment-mode labels (single-path) for a batch."""
+        """Deployment-mode labels: the reached leaf's top class (see ``route``).
+
+        A single sample gives an int, a batch an array; label ties resolve to
+        the lowest class index.
+        """
         X, single = self._as_batch(x)
-        leaves = self.single_path_leaves(X)
+        _, leaves = self.route(X)
         labels = np.argmax(self.leaf_logits[leaves], axis=1)
         return int(labels[0]) if single else labels
 
@@ -417,21 +416,20 @@ def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray):
     return loss, dS
 
 
-def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, include_l1_grad=True):
-    """Penalty value and its gradient injections for the backward engine."""
+def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad):
+    """Penalty value, mean internal-node visit probabilities and the
+    penalty's gradient injections for the backward engine."""
     c = np.asarray(cost_vec, dtype=np.float64)
     r = node_column_costs(tree, c)
-    qi = fw.q[: tree.n_internal]
-    value = float(r @ (qi @ sample_weights))
+    qbar = fw.q[: tree.n_internal] @ sample_weights
     dq_direct = lam * np.outer(r, sample_weights)
     w1_direct = None
-    if include_l1_grad:
-        coef = lam * (qi @ sample_weights)
-        w1_direct = coef[:, None, None] * np.sign(tree.W1) * c[None, None, :]
-    return value, dq_direct, w1_direct
+    if l1_grad:
+        w1_direct = (lam * qbar)[:, None, None] * np.sign(tree.W1) * c[None, None, :]
+    return float(r @ qbar), qbar, dq_direct, w1_direct
 
 
-def _validate_batch(tree, X, y):
+def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
@@ -440,23 +438,42 @@ def _validate_batch(tree, X, y):
         raise InvalidInputError("y must hold one label per sample; batch nonempty")
     if y.min() < 0 or y.max() >= tree.n_classes:
         raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
+    if lam > 0 and cost_vec is None:
+        raise InvalidInputError("lam > 0 requires a cost vector")
     return X, y
+
+
+def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True):
+    """The objective on an already validated, nonempty batch.
+
+    Weighted cross-entropy of the soft prediction plus ``lam`` times the
+    batch-mean power penalty; ``y=None`` leaves the penalty alone.  Returns
+    ``(loss, grads, qbar)``: the exact gradients of every parameter when
+    ``grad`` is set, else None, and the mean visit probability of each
+    internal node when ``lam > 0``, else None.  ``l1_grad=False`` leaves
+    the penalty's L1 term out of the W1 gradient (training applies it as a
+    proximal step instead).
+    """
+    fw = tree.forward(X)
+    _check_finite(tree, fw)
+    loss, dS = 0.0, None
+    if y is not None:
+        wce = _sample_weights(y, tree.n_classes, class_weight)
+        loss, dS = _ce_pieces(fw, y, wce)
+    dq_direct = w1_direct = qbar = None
+    if lam > 0:
+        B = X.shape[0]
+        pen, qbar, dq_direct, w1_direct = _penalty_pieces(
+            tree, fw, lam, cost_vec, np.full(B, 1.0 / B), grad and l1_grad)
+        loss = loss + lam * pen
+    grads = _backward(tree, fw, dS, dq_direct, w1_direct) if grad else None
+    return loss, grads, qbar
 
 
 def loss_value(tree, X, y, lam=0.0, cost_vec=None, class_weight=None) -> float:
     """Objective value only: weighted cross-entropy + lam * mean penalty."""
-    X, y = _validate_batch(tree, X, y)
-    fw = tree.forward(X)
-    _check_finite(tree, fw)
-    wce = _sample_weights(y, tree.n_classes, class_weight)
-    ce, _ = _ce_pieces(fw, y, wce)
-    if lam > 0:
-        if cost_vec is None:
-            raise InvalidInputError("lam > 0 requires a cost vector")
-        wpen = np.full(y.size, 1.0 / y.size)
-        pen, _, _ = _penalty_pieces(tree, fw, lam, cost_vec, wpen)
-        return ce + lam * pen
-    return ce
+    X, y = _validate_batch(tree, X, y, lam, cost_vec)
+    return _objective(tree, X, y, lam, cost_vec, class_weight, grad=False)[0]
 
 
 def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
@@ -466,20 +483,8 @@ def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
     the soft prediction, plus ``lam`` times the mean power penalty.  The
     penalty's L1 term uses the sign(0) = 0 subgradient.
     """
-    X, y = _validate_batch(tree, X, y)
-    fw = tree.forward(X)
-    _check_finite(tree, fw)
-    wce = _sample_weights(y, tree.n_classes, class_weight)
-    ce, dS = _ce_pieces(fw, y, wce)
-    loss = ce
-    dq_direct = w1_direct = None
-    if lam > 0:
-        if cost_vec is None:
-            raise InvalidInputError("lam > 0 requires a cost vector")
-        wpen = np.full(y.size, 1.0 / y.size)
-        pen, dq_direct, w1_direct = _penalty_pieces(tree, fw, lam, cost_vec, wpen)
-        loss = ce + lam * pen
-    grads = _backward(tree, fw, dS=dS, dq_direct=dq_direct, w1_direct=w1_direct)
+    X, y = _validate_batch(tree, X, y, lam, cost_vec)
+    loss, grads, _ = _objective(tree, X, y, lam, cost_vec, class_weight, grad=True)
     return loss, grads
 
 
@@ -602,8 +607,6 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         n_classes = init_tree.n_classes
     elif n_classes is None:
         n_classes = int(y.max()) + 1
-    if config.lam > 0 and cost_vec is None:
-        raise InvalidInputError("lam > 0 requires a cost vector")
     rng = np.random.default_rng(config.seed)
 
     if init_tree is None:
@@ -615,7 +618,7 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         )
     else:
         tree = init_tree.copy()
-    X, y = _validate_batch(tree, X, y)
+    X, y = _validate_batch(tree, X, y, config.lam, cost_vec)
 
     use_prox = config.lam > 0 and config.l1_mode == "prox"
     handler = _W1Handler(tree, pruned=pruned, codebook=codebook)
@@ -627,8 +630,8 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     state = {k: np.zeros_like(v) for k, v in views.items()}
 
     def epoch_loss():
-        return loss_value(tree, X, y, lam=config.lam, cost_vec=c,
-                          class_weight=config.class_weight)
+        return _objective(tree, X, y, config.lam, c, config.class_weight,
+                          grad=False)[0]
 
     tree.history = [epoch_loss()]
     n = X.shape[0]
@@ -638,23 +641,9 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            xb, yb = X[idx], y[idx]
-            fw = tree.forward(xb)
-            _check_finite(tree, fw)
-            wce = _sample_weights(yb, tree.n_classes, config.class_weight)
-            _, dS = _ce_pieces(fw, yb, wce)
-            dq_direct = w1_direct = None
-            qbar = None
-            if lam > 0:
-                wpen = np.full(yb.size, 1.0 / yb.size)
-                _, dq_direct, w1_direct = _penalty_pieces(
-                    tree, fw, lam, c, wpen,
-                    include_l1_grad=not use_prox,
-                )
-                if use_prox:
-                    qbar = fw.q[: tree.n_internal] @ wpen
-            grads = _backward(tree, fw, dS=dS, dq_direct=dq_direct,
-                              w1_direct=w1_direct)
+            _, grads, qbar = _objective(tree, X[idx], y[idx], lam, c,
+                                        config.class_weight, grad=True,
+                                        l1_grad=not use_prox)
             grads["W1"] = handler.reduce_grad(grads["W1"])
             for name in PARAM_NAMES:
                 g = grads[name]

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
-from peot.cli import EXIT_NUMERIC, main
+import pytest
+
+from peot.cli import EXIT_CONFIG, EXIT_NUMERIC, main
 
 
 def test_diverging_train_exits_numeric(tmp_path, capsys):
@@ -16,3 +20,32 @@ def test_diverging_train_exits_numeric(tmp_path, capsys):
     assert error["error"] == "numeric"
     assert error["type"] == "NumericError"
     assert not (out / "model.json").exists()
+
+
+@pytest.fixture(scope="module")
+def seizure_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("data")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--task", "seizure", "--n-windows", "200",
+                     "--out", str(out), "--seed", "1"]) == 0
+    return out / "dataset.json"
+
+
+@pytest.mark.parametrize("holdout", ["1.5", "1", "-0.5", "nan"])
+def test_holdout_outside_unit_interval_exits_config(seizure_dataset, holdout,
+                                                    tmp_path, capsys):
+    code = main(["train", "--dataset", str(seizure_dataset), "--model", "peot",
+                 "--epochs", "1", f"--holdout={holdout}", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and "holdout" in error["message"]
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("holdout", ["0", "0.25"])
+def test_holdout_in_unit_interval_trains(seizure_dataset, holdout, tmp_path, capsys):
+    code = main(["train", "--dataset", str(seizure_dataset), "--model", "peot",
+                 "--epochs", "1", f"--holdout={holdout}", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "model.json").read_text())
+    assert len(doc["train"]["test_indices"]) == round(200 * float(holdout))

@@ -336,3 +336,69 @@ class TestParamsTouchedFraction:
     def test_unknown_accounting(self):
         with pytest.raises(InvalidInputError):
             random_tree().params_touched_fraction("bogus")
+
+
+def routing_walk_oracle(tree, x):
+    """Per-sample hard walk over the scalar ``routing_probability``.
+
+    Also returns the smallest |p - 0.5| met, so callers can keep to samples
+    whose logits stay away from the tie at 0.
+    """
+    node, visited, margin = 0, [], np.inf
+    for _ in range(tree.depth):
+        visited.append(node)
+        p = tree.routing_probability(node, x)
+        margin = min(margin, abs(p - 0.5))
+        node = 2 * node + 1 + (p > 0.5)
+    return visited, node - tree.n_internal, margin
+
+
+class TestRoute:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_matches_scalar_walk_oracle(self, depth):
+        tree = random_tree(depth=depth, F=6, hidden=3, seed=100 + depth)
+        tree.b2 = np.random.default_rng(depth).normal(0, 0.5, tree.n_internal)
+        X = np.random.default_rng(200 + depth).normal(size=(60, tree.n_features))
+        path, leaf = tree.route(X)
+        assert path.shape == (60, depth) and leaf.shape == (60,)
+        checked = 0
+        for i, x in enumerate(X):
+            visited, oracle_leaf, margin = routing_walk_oracle(tree, x)
+            if margin < 1e-9:
+                continue
+            checked += 1
+            assert path[i].tolist() == visited
+            assert leaf[i] == oracle_leaf
+        assert checked >= 55
+
+    def test_tiny_positive_logit_goes_right_in_both_predictors(self):
+        # expit(1e-17) rounds to exactly 0.5; the logit rule must still send
+        # the sample right in single-sample and batch inference alike
+        tree = ObliqueTree(1, 2, 2, 1, np.zeros((1, 1, 2)), np.zeros((1, 1)),
+                           np.zeros((1, 1)), [1e-17], np.eye(2))
+        assert tree.predict_single_path(np.ones(2)) == (1, [0], 1)
+        assert tree.predict(np.ones((1, 2))).tolist() == [1]
+
+
+class TestObjective:
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_loss_value_equals_loss_of_gradients_bit_exactly(self, lam,
+                                                             class_weight):
+        tree = random_tree(depth=3, seed=21)
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(25, tree.n_features))
+        y = rng.integers(0, tree.n_classes, size=25)
+        c = rng.uniform(0.5, 4.0, size=tree.n_features)
+        value = loss_value(tree, X, y, lam=lam, cost_vec=c,
+                           class_weight=class_weight)
+        loss, _ = loss_and_gradients(tree, X, y, lam=lam, cost_vec=c,
+                                     class_weight=class_weight)
+        assert value == loss
+
+    def test_lam_without_cost_vector_rejected(self):
+        tree = random_tree()
+        X = np.zeros((2, tree.n_features))
+        for fn in (loss_value, loss_and_gradients):
+            with pytest.raises(InvalidInputError, match="cost vector"):
+                fn(tree, X, np.array([0, 1]), lam=0.1)
