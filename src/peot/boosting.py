@@ -7,6 +7,11 @@ the split gain by lambda * cost the first time a feature is used within the
 current tree, approximating power-efficient boosting; fixed-point
 quantization of thresholds and leaf weights produces the compressed
 variant.
+
+Every boosted model is a ``GbtOvR`` read through ``model.ensembles``: one
+binary ensemble per class, or one member for a binary task.  A one-member
+model is stored as its member's ``gbt-ensemble`` document, and a bare
+``GbtEnsemble`` (from the public ``train_gbt``) is a one-member model too.
 """
 
 import warnings
@@ -121,6 +126,11 @@ class GbtEnsemble:
     n_features: int
     quant: dict | None = None  # set by quantize_gbt
     meta: dict = field(default_factory=dict)
+
+    @property
+    def ensembles(self) -> list["GbtEnsemble"]:
+        """A bare ensemble is a one-member boosted model."""
+        return [self]
 
     def margins(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -353,25 +363,13 @@ def quantize_gbt(ensemble: GbtEnsemble, threshold_bits: int = 10,
                        ensemble.n_features, quant=quant, meta=dict(ensemble.meta))
 
 
-def deployed_power_gbt(ensemble: GbtEnsemble, X, cost_vec) -> float:
-    """Mean per-sample cost of features on visited paths, each priced once."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InvalidInputError("deployed_power needs a nonempty 2-D matrix")
-    c = np.asarray(cost_vec, dtype=np.float64)
-    used = np.zeros((X.shape[0], ensemble.n_features), dtype=bool)
-    for t in ensemble.trees:
-        t.walk(X, used=used)
-    return float((used @ c).mean())
-
-
 # ---------------------------------------------------------------------------
-# one-vs-rest wrapper for multiclass tasks
+# the boosted model: one ensemble per class, one for a binary task
 
 
 @dataclass
 class GbtOvR:
-    """One binary ensemble per class; prediction is the top margin."""
+    """A boosted model: one binary ensemble per class, or one for a binary task."""
 
     ensembles: list[GbtEnsemble]
 
@@ -379,55 +377,59 @@ class GbtOvR:
     def n_features(self) -> int:
         return self.ensembles[0].n_features
 
-    def predict(self, X) -> np.ndarray:
-        margins = np.stack([e.margins(np.asarray(X, dtype=np.float64))
-                            for e in self.ensembles])
-        return np.argmax(margins, axis=0)
-
     def to_doc(self) -> dict:
+        """A one-member model is stored as its member's ``gbt-ensemble``."""
+        if len(self.ensembles) == 1:
+            return self.ensembles[0].to_doc()
         doc = serialize.new_document("gbt-ovr")
         doc["ensembles"] = [e.to_doc() for e in self.ensembles]
         return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "GbtOvR":
+        """Reads ``to_doc``'s output, a ``gbt-ensemble`` as a one-member model."""
+        if doc.get("kind") == "gbt-ensemble":
+            return cls([GbtEnsemble.from_doc(doc)])
         serialize.check_header(doc, "gbt-ovr")
         return cls([GbtEnsemble.from_doc(d) for d in doc["ensembles"]])
 
 
-def train_gbt_multiclass(X, y, config: GbtConfig, cost_vec=None):
-    """Binary task -> plain ensemble; otherwise one-vs-rest."""
+def train_gbt_multiclass(X, y, config: GbtConfig, cost_vec=None) -> GbtOvR:
+    """One ensemble for a binary task; otherwise one per class (one-vs-rest)."""
     X, y = _training_set(X, y)
     n_classes = int(y.max()) + 1
     if n_classes <= 2:
-        return train_gbt(X, y, config, cost_vec)
-    ensembles = [train_gbt(X, (y == k).astype(np.int64), config, cost_vec)
-                 for k in range(n_classes)]
-    return GbtOvR(ensembles)
+        return GbtOvR([train_gbt(X, y, config, cost_vec)])
+    return GbtOvR([train_gbt(X, (y == k).astype(np.int64), config, cost_vec)
+                   for k in range(n_classes)])
 
 
-def quantize_model(model):
-    """The PEGB compression: ``quantize_gbt`` on an ensemble, or on every
-    member of a one-vs-rest model."""
-    if isinstance(model, GbtOvR):
-        return GbtOvR([quantize_gbt(e) for e in model.ensembles])
-    return quantize_gbt(model)
+def quantize_model(model: GbtOvR) -> GbtOvR:
+    """The PEGB compression: ``quantize_gbt`` on every member."""
+    return GbtOvR([quantize_gbt(e) for e in model.ensembles])
 
 
-def predict_labels(model, X) -> np.ndarray:
-    """Label prediction for either ensemble flavor."""
-    if isinstance(model, GbtOvR):
-        return model.predict(X)
-    return predict_gbt(model, X)[2]
+def predict_labels(model: GbtOvR, X) -> np.ndarray:
+    """The one member's thresholded probability (``predict_gbt``), else the
+    class whose member has the top margin."""
+    if len(model.ensembles) == 1:
+        return predict_gbt(model.ensembles[0], X)[2]
+    X = np.asarray(X, dtype=np.float64)
+    return np.argmax(np.stack([e.margins(X) for e in model.ensembles]), axis=0)
 
 
-def model_power(model, X, cost_vec) -> float:
-    if isinstance(model, GbtOvR):
-        X = np.asarray(X, dtype=np.float64)
-        c = np.asarray(cost_vec, dtype=np.float64)
-        used = np.zeros((X.shape[0], model.n_features), dtype=bool)
-        for e in model.ensembles:
-            for t in e.trees:
-                t.walk(X, used=used)
-        return float((used @ c).mean())
-    return deployed_power_gbt(model, X, cost_vec)
+def model_power(model: GbtOvR, X, cost_vec) -> float:
+    """Mean per-sample cost of the features read on the visited paths of
+    every member, each feature priced once per sample."""
+    X = np.asarray(X, dtype=np.float64)
+    c = np.asarray(cost_vec, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.n_features:
+        raise InvalidInputError(f"model_power needs a nonempty matrix of "
+                                f"{model.n_features} columns, got {X.shape}")
+    if c.shape != (model.n_features,):
+        raise InvalidInputError("cost vector length must equal feature count")
+    used = np.zeros(X.shape, dtype=bool)
+    for e in model.ensembles:
+        for t in e.trees:
+            t.walk(X, used=used)
+    return float((used @ c).mean())

@@ -61,7 +61,12 @@ def _load_json(path):
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicitly passed flags."""
+    """defaults <- config file <- explicitly passed flags.
+
+    A config-file value is read through the type of the matching flag, so
+    it is checked as the flag would be; a null value leaves the default in
+    place, as an absent flag does.
+    """
     resolved = dict(defaults)
     if getattr(args, "config", None):
         file_cfg = _load_json(args.config)
@@ -70,7 +75,13 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_cfg)
+        for key, value in file_cfg.items():
+            if value is None:
+                continue
+            try:
+                resolved[key] = args.flag_types.get(key, str)(value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
@@ -105,6 +116,11 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in _float_list(text)]
+
+
+def _share_bits(text) -> int | str:
+    """A sharing bit width, or "none" (as 0) to skip weight sharing."""
+    return text if text == "none" else int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +188,7 @@ def cmd_ingest(args):
             raise ConfigError("csv ingestion needs --signal and --labels-csv")
         container = data.ingest_csv(
             resolved["signal"], resolved["labels_csv"],
-            int(resolved["window_len"]), float(resolved["overlap"]),
+            resolved["window_len"], resolved["overlap"],
         )
     else:
         raise ConfigError("--format must be idx or csv")
@@ -186,8 +202,8 @@ def cmd_synth(args):
     defaults = {"task": None, "n_windows": 800, "seed": None}
     resolved = _resolve(args, defaults)
     out = _out_dir(args)
-    rec = synth.synth_recording(resolved["task"], int(resolved["n_windows"]),
-                                int(resolved["seed"]))
+    rec = synth.synth_recording(resolved["task"], resolved["n_windows"],
+                                resolved["seed"])
     data.save_container(rec, out / "dataset.json")
     _write_json(rec.meta, out / "note.json")
     _write_resolved(out, "synth", resolved)
@@ -222,21 +238,21 @@ def cmd_train(args):
         raise ConfigError("--dataset is required")
     if resolved["model"] not in MODEL_TYPES:
         raise ConfigError(f"--model must be one of {MODEL_TYPES}")
-    holdout = float(resolved["holdout"])
+    holdout = resolved["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ConfigError(f"--holdout must lie in [0, 1), got {holdout}")
     container, X, y, c, pipeline = _load_featurized(resolved["dataset"], resolved)
     n_classes = int(y.max()) + 1
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     tr_idx, te_idx = _holdout_split(X.shape[0], holdout, seed)
 
     if resolved["model"] == "peot":
         cfg = TrainConfig(
-            depth=int(resolved["depth"]), hidden=int(resolved["hidden"]),
-            epochs=int(resolved["epochs"]), batch_size=int(resolved["batch_size"]),
-            learning_rate=float(resolved["learning_rate"]),
-            optimizer=resolved["optimizer"], lam=float(resolved["lam"]),
-            warmup_epochs=int(resolved["warmup_epochs"]),
+            depth=resolved["depth"], hidden=resolved["hidden"],
+            epochs=resolved["epochs"], batch_size=resolved["batch_size"],
+            learning_rate=resolved["learning_rate"],
+            optimizer=resolved["optimizer"], lam=resolved["lam"],
+            warmup_epochs=resolved["warmup_epochs"],
             class_weight=resolved["class_weight"], seed=seed,
         )
         model = tree_mod.train(X[tr_idx], y[tr_idx], cfg,
@@ -246,9 +262,9 @@ def cmd_train(args):
         train_cfg_doc = cfg.to_doc()
     else:
         gcfg = GbtConfig(
-            n_trees=int(resolved["n_trees"]), max_depth=int(resolved["max_depth"]),
-            learning_rate=float(resolved["gbt_learning_rate"]),
-            cost_lambda=float(resolved["cost_lambda"])
+            n_trees=resolved["n_trees"], max_depth=resolved["max_depth"],
+            learning_rate=resolved["gbt_learning_rate"],
+            cost_lambda=resolved["cost_lambda"]
             if resolved["model"] == "pegb" else 0.0,
         )
         model = boosting.train_gbt_multiclass(
@@ -292,12 +308,6 @@ def _load_model_doc(path):
     return doc, serialize.model_from_doc(doc["core"])
 
 
-def _predict_fn(model):
-    if isinstance(model, tree_mod.ObliqueTree):
-        return model.predict
-    return lambda Z: boosting.predict_labels(model, Z)
-
-
 def cmd_compress(args):
     defaults = {
         "model": None, "dataset": None, "sparsity": 0.9, "share_bits": 4,
@@ -315,15 +325,15 @@ def cmd_compress(args):
     train_doc = doc["train"]
     cfg = TrainConfig.from_doc(train_doc["config"]) if "depth" in train_doc["config"] \
         else TrainConfig()
-    lam = float(resolved["lam"]) if resolved["lam"] is not None else cfg.lam
-    ft_cfg = replace(cfg, epochs=int(resolved["epochs"]), warmup_epochs=0,
-                     lam=lam, seed=int(resolved["seed"]))
+    lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
+    ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
+                     lam=lam, seed=resolved["seed"])
     te = np.asarray(train_doc.get("test_indices", []), dtype=np.int64)
     mask = np.ones(X.shape[0], dtype=bool)
     mask[te] = False
     model_c, report = compression.compress_pipeline(
-        model, X[mask], y[mask], float(resolved["sparsity"]),
-        None if resolved["share_bits"] in (0, "none") else int(resolved["share_bits"]),
+        model, X[mask], y[mask], resolved["sparsity"],
+        None if resolved["share_bits"] in (0, "none") else resolved["share_bits"],
         ft_cfg,
         X_eval=X[te] if te.size else None,
         y_eval=y[te] if te.size else None,
@@ -331,9 +341,9 @@ def cmd_compress(args):
     )
     new_doc = dict(doc)
     new_doc["core"] = model_c.to_doc()
-    new_doc["compressed"] = {"sparsity": float(resolved["sparsity"]),
+    new_doc["compressed"] = {"sparsity": resolved["sparsity"],
                              "share_bits": resolved["share_bits"],
-                             "finetune_epochs": int(resolved["epochs"])}
+                             "finetune_epochs": resolved["epochs"]}
     serialize.write_document(new_doc, out / "model.json")
     _write_json(report, out / "report.json")
     _write_resolved(out, "compress", resolved)
@@ -359,17 +369,18 @@ def cmd_eval(args):
         X_eval, y_eval, split = X[te], y[te], "stored-test-fold"
     else:
         X_eval, y_eval, split = X, y, "full-dataset"
-    predict = _predict_fn(model)
-    metrics = compute_metrics(y_eval, predict(X_eval), n_classes)
-    result = {"split": split, "metrics": metrics.to_doc()}
     if isinstance(model, tree_mod.ObliqueTree):
-        result["deployed_power"] = cost.deployed_power(model, X_eval, c)
-        result["params_touched"] = {
-            mode: model.params_touched_fraction(mode)
-            for mode in ("internal-only", "with-leaves")
+        labels = model.predict(X_eval)
+        extra = {
+            "deployed_power": cost.deployed_power(model, X_eval, c),
+            "params_touched": {mode: model.params_touched_fraction(mode)
+                               for mode in ("internal-only", "with-leaves")},
         }
     else:
-        result["deployed_power"] = boosting.model_power(model, X_eval, c)
+        labels = boosting.predict_labels(model, X_eval)
+        extra = {"deployed_power": boosting.model_power(model, X_eval, c)}
+    metrics = compute_metrics(y_eval, labels, n_classes)
+    result = {"split": split, "metrics": metrics.to_doc(), **extra}
     _write_json(result, out / "metrics.json")
     _write_resolved(out, "eval", resolved)
     print(f"eval[{split}]: f1={metrics.f1:.4f} acc={metrics.accuracy:.4f}")
@@ -389,15 +400,15 @@ def cmd_sweep(args):
         raise ConfigError("--dataset is required")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
     base = TrainConfig(
-        hidden=int(resolved["hidden"]), epochs=int(resolved["epochs"]),
-        warmup_epochs=int(resolved["warmup_epochs"]),
-        learning_rate=float(resolved["learning_rate"]),
+        hidden=resolved["hidden"], epochs=resolved["epochs"],
+        warmup_epochs=resolved["warmup_epochs"],
+        learning_rate=resolved["learning_rate"],
         class_weight=resolved["class_weight"],
     )
     points, csv_text = tradeoff_sweep(
         X, y, c, _float_list(resolved["lambdas"]), _int_list(resolved["depths"]),
-        base, k=int(resolved["k"]), scheme=resolved["scheme"],
-        seed=int(resolved["seed"]), fingerprint=container.fingerprint(),
+        base, k=resolved["k"], scheme=resolved["scheme"],
+        seed=resolved["seed"], fingerprint=container.fingerprint(),
     )
     (out / "sweep.csv").write_text(csv_text)
     _write_json({"points": [p.to_doc() for p in points],
@@ -427,8 +438,8 @@ def cmd_report(args):
             )
         preset = TASK_BENCHMARK_PRESETS[resolved["task_preset"]]
     report = benchmark_report(
-        X, y, c, k=int(resolved["k"]), scheme=resolved["scheme"],
-        seed=int(resolved["seed"]), fingerprint=container.fingerprint(),
+        X, y, c, k=resolved["k"], scheme=resolved["scheme"],
+        seed=resolved["seed"], fingerprint=container.fingerprint(),
         provenance=resolved["provenance"], **preset,
     )
     _write_json(report, out / "report.json")
@@ -498,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model"), p.add_argument("--dataset")
     p.add_argument("--sparsity", type=float)
-    p.add_argument("--share-bits", dest="share_bits", type=int)
+    p.add_argument("--share-bits", dest="share_bits", type=_share_bits)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lam", type=float)
     p.add_argument("--feature-spec", dest="feature_spec")
@@ -538,6 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-table", dest="cost_table")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(flag_types={a.dest: a.type or str for a in p._actions})
     return parser
 
 

@@ -8,6 +8,7 @@ any alternative storage model can be recomputed from the reported
 breakdown.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,15 +290,18 @@ def _gbt_breakdown(ensemble, accounting: str) -> dict:
 
 
 def size_breakdown(model, accounting: str) -> dict:
-    """Exact per-parameter-class bit counts plus the total."""
+    """Exact per-parameter-class bit counts plus the total.
+
+    A boosted model is charged the sum over its member ensembles."""
     if isinstance(model, ObliqueTree):
         parts = _oblique_breakdown(model, accounting)
     else:
-        from .boosting import GbtEnsemble
-
-        if not isinstance(model, GbtEnsemble):
+        members = getattr(model, "ensembles", None)
+        if members is None:
             raise InvalidInputError(f"cannot size {type(model).__name__}")
-        parts = _gbt_breakdown(model, accounting)
+        parts = Counter()
+        for ensemble in members:
+            parts.update(_gbt_breakdown(ensemble, accounting))
     parts = {k: int(v) for k, v in parts.items()}
     return {"accounting": accounting, "total_bits": sum(parts.values()), **parts}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import boosting, compression, cost, tree as tree_mod
-from .boosting import GbtConfig, GbtOvR
+from .boosting import GbtConfig
 from .errors import InvalidInputError, NumericError
 from .tree import ObliqueTree, TrainConfig
 
@@ -140,6 +140,7 @@ def make_folds(n: int, k: int, scheme: str = "blocks", seed: int = 0,
 class CVResult:
     fold_metrics: list[Metrics]
     models: list
+    test_folds: list[np.ndarray]  # each fold's test indices, in fold order
     f1_mean: float
     f1_std: float
 
@@ -152,8 +153,13 @@ class CVResult:
 
 def cross_validate(X, y, fit, predict, k: int = 5, scheme: str = "blocks",
                    seed: int = 0, fingerprint: str | None = None) -> CVResult:
-    """Train/evaluate one model per fold; per-fold training is independently
-    seeded via ``fold_seed``."""
+    """Train and score one model per fold of ``make_folds``: the one fold loop.
+
+    ``fit(X_train, y_train, seed)`` gets an independent seed per fold
+    (``fold_seed``) and ``predict(model, X_test)`` returns labels.  Each
+    fold's model and test indices are kept, so callers can measure the
+    models further (size, power) on the same test folds.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n_classes = int(y.max()) + 1
@@ -165,7 +171,8 @@ def cross_validate(X, y, fit, predict, k: int = 5, scheme: str = "blocks",
         metrics.append(compute_metrics(y[te], pred, n_classes))
         models.append(model)
     f1s = np.array([m.f1 for m in metrics])
-    return CVResult(metrics, models, float(f1s.mean()), float(f1s.std()))
+    return CVResult(metrics, models, [te for _, te in folds],
+                    float(f1s.mean()), float(f1s.std()))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +219,6 @@ def tradeoff_sweep(X, y, cost_vec, lambda_grid, depth_grid,
     y = np.asarray(y, dtype=np.int64)
     c = np.asarray(cost_vec, dtype=np.float64)
     n_classes = int(y.max()) + 1
-    folds = make_folds(X.shape[0], k, scheme, seed, fingerprint, y)
     points = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -220,45 +226,31 @@ def tradeoff_sweep(X, y, cost_vec, lambda_grid, depth_grid,
     for lam in lambda_grid:
         for depth in depth_grid:
             cfg = replace(base_config, lam=float(lam), depth=int(depth))
-            rows, f1s, powers = [], [], []
-            error = None
             try:
-                for i, (tr, te) in enumerate(folds):
-                    fold_cfg = replace(cfg, seed=fold_seed(seed, i))
-                    model = tree_mod.train(X[tr], y[tr], fold_cfg, cost_vec=c,
-                                           n_classes=n_classes)
-                    met = compute_metrics(y[te], model.predict(X[te]), n_classes)
-                    power = cost.deployed_power(model, X[te], c)
-                    f1s.append(met.f1)
-                    powers.append(power)
-                    rows.append((float(lam), int(depth), i, met.f1, power,
-                                 int(depth)))
+                cv = cross_validate(
+                    X, y,
+                    lambda Xtr, ytr, s, cfg=cfg: tree_mod.train(
+                        Xtr, ytr, replace(cfg, seed=s), cost_vec=c,
+                        n_classes=n_classes),
+                    ObliqueTree.predict, k, scheme, seed, fingerprint)
+                powers = [cost.deployed_power(m, X[te], c)
+                          for m, te in zip(cv.models, cv.test_folds)]
             except NumericError as exc:
-                error = str(exc)
-            if error is None:
-                point = SweepPoint(float(lam), int(depth),
-                                   float(np.mean(f1s)), float(np.std(f1s)),
-                                   float(np.mean(powers)), int(depth),
-                                   fold_rows=rows)
-                for row in rows:
-                    writer.writerow(row)
-            else:
-                point = SweepPoint(float(lam), int(depth), float("nan"),
-                                   float("nan"), float("nan"), int(depth),
-                                   error=error)
-            points.append(point)
+                points.append(SweepPoint(float(lam), int(depth), float("nan"),
+                                         float("nan"), float("nan"),
+                                         int(depth), error=str(exc)))
+                continue
+            rows = [(float(lam), int(depth), i, met.f1, power, int(depth))
+                    for i, (met, power) in enumerate(zip(cv.fold_metrics, powers))]
+            writer.writerows(rows)
+            points.append(SweepPoint(float(lam), int(depth), cv.f1_mean,
+                                     cv.f1_std, float(np.mean(powers)),
+                                     int(depth), fold_rows=rows))
     return points, buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # benchmark report
-
-
-def gbt_size_bits(model, accounting: str) -> int:
-    if isinstance(model, GbtOvR):
-        return sum(compression.model_size_bits(e, accounting)
-                   for e in model.ensembles)
-    return compression.model_size_bits(model, accounting)
 
 
 # Benchmark presets per synthetic task, found by small grid searches over
@@ -308,48 +300,28 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
     gbt_config = gbt_config or GbtConfig()
     pegb_config = pegb_config or replace(gbt_config, cost_lambda=0.5)
     peot_config = peot_config or TrainConfig(depth=2, hidden=4, lam=0.1)
-    folds = make_folds(X.shape[0], k, scheme, seed, fingerprint, y)
 
-    rows: dict[str, dict] = {}
+    def row(fit, predict, power, accounting):
+        cv = cross_validate(X, y, fit, predict, k, scheme, seed, fingerprint)
+        sizes = [compression.model_size_bits(m, accounting) for m in cv.models]
+        powers = [power(m, X[te], c) for m, te in zip(cv.models, cv.test_folds)]
+        return {"f1_mean": cv.f1_mean, "f1_std": cv.f1_std,
+                "size_bits_mean": float(np.mean(sizes)),
+                "power_mean": float(np.mean(powers))}
 
-    def run(name, fit, predict, size_of, power_of):
-        f1s, sizes, powers = [], [], []
-        for i, (tr, te) in enumerate(folds):
-            model = fit(X[tr], y[tr], fold_seed(seed, i))
-            met = compute_metrics(y[te], predict(model, X[te]), n_classes)
-            f1s.append(met.f1)
-            sizes.append(size_of(model))
-            powers.append(power_of(model, X[te]))
-        rows[name] = {
-            "f1_mean": float(np.mean(f1s)), "f1_std": float(np.std(f1s)),
-            "size_bits_mean": float(np.mean(sizes)),
-            "power_mean": float(np.mean(powers)),
-        }
-
-    run(
-        "gbt",
-        lambda Xtr, ytr, s: boosting.train_gbt_multiclass(Xtr, ytr, gbt_config),
-        boosting.predict_labels,
-        lambda m: gbt_size_bits(m, "dense-float32"),
-        lambda m, Xe: boosting.model_power(m, Xe, c),
-    )
-    run(
-        "pegb",
-        lambda Xtr, ytr, s: _fit_pegb(Xtr, ytr, pegb_config, c),
-        boosting.predict_labels,
-        lambda m: gbt_size_bits(m, "quantized-gbt"),
-        lambda m, Xe: boosting.model_power(m, Xe, c),
-    )
-    run(
-        "peot",
-        lambda Xtr, ytr, s: _fit_peot(Xtr, ytr, peot_config, c, n_classes, s,
-                                      peot_sparsity, peot_share_bits,
-                                      finetune_epochs),
-        lambda m, Xe: m.predict(Xe),
-        lambda m: compression.model_size_bits(m, "pruned-shared"),
-        lambda m, Xe: cost.deployed_power(m, Xe, c),
-    )
-
+    rows = {
+        "gbt": row(
+            lambda Xtr, ytr, s: boosting.train_gbt_multiclass(Xtr, ytr, gbt_config),
+            boosting.predict_labels, boosting.model_power, "dense-float32"),
+        "pegb": row(
+            lambda Xtr, ytr, s: _fit_pegb(Xtr, ytr, pegb_config, c),
+            boosting.predict_labels, boosting.model_power, "quantized-gbt"),
+        "peot": row(
+            lambda Xtr, ytr, s: _fit_peot(Xtr, ytr, peot_config, c, n_classes, s,
+                                          peot_sparsity, peot_share_bits,
+                                          finetune_epochs),
+            ObliqueTree.predict, cost.deployed_power, "pruned-shared"),
+    }
     base = rows["gbt"]
     for name, row in rows.items():
         row["size_norm"] = row["size_bits_mean"] / base["size_bits_mean"]

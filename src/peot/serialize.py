@@ -89,15 +89,15 @@ def fingerprint_arrays(*arrays: np.ndarray) -> str:
 
 
 def model_from_doc(doc: dict):
-    """Rehydrate any serialized model by its kind tag."""
+    """Rehydrate any serialized model by its kind tag.
+
+    Boosted models come back as a ``GbtOvR``; a ``gbt-ensemble`` document is
+    a one-member model."""
     kind = doc.get("kind")
     if kind == "oblique-tree":
         from .tree import ObliqueTree
         return ObliqueTree.from_doc(doc)
-    if kind == "gbt-ensemble":
-        from .boosting import GbtEnsemble
-        return GbtEnsemble.from_doc(doc)
-    if kind == "gbt-ovr":
+    if kind in ("gbt-ensemble", "gbt-ovr"):
         from .boosting import GbtOvR
         return GbtOvR.from_doc(doc)
     raise DataError(f"unknown model kind {kind!r}")
