@@ -23,6 +23,7 @@ from scipy.special import expit
 from . import serialize
 from .compression import fit_format, quantize_values
 from .errors import InvalidInputError
+from .tree import training_set
 
 PROB_CLAMP = 1e-6
 
@@ -264,21 +265,10 @@ class _TreeBuilder:
         )
 
 
-def _training_set(X, y):
-    """X as a nonempty 2-D float matrix and y as one int label per row."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InvalidInputError("training set must be a nonempty 2-D matrix")
-    if y.shape != (X.shape[0],):
-        raise InvalidInputError("one label per sample required")
-    return X, y
-
-
 def train_gbt(X, y, config: GbtConfig, cost_vec=None) -> GbtEnsemble:
     """Boost depth-limited trees on logistic gradients; deterministic."""
     config.validate()
-    X, y = _training_set(X, y)
+    X, y = training_set(X, y)
     if not np.isin(y, (0, 1)).all():
         raise InvalidInputError("train_gbt needs binary 0/1 labels")
     p = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
@@ -396,7 +386,7 @@ class GbtOvR:
 
 def train_gbt_multiclass(X, y, config: GbtConfig, cost_vec=None) -> GbtOvR:
     """One ensemble for a binary task; otherwise one per class (one-vs-rest)."""
-    X, y = _training_set(X, y)
+    X, y = training_set(X, y)
     n_classes = int(y.max()) + 1
     if n_classes <= 2:
         return GbtOvR([train_gbt(X, y, config, cost_vec)])

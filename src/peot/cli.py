@@ -1,16 +1,18 @@
 """Command-line interface: ingest, synth, train, compress, eval, sweep, report.
 
-Every command resolves its options as defaults <- JSON config file <- flags,
-then writes the fully resolved config (seed included) next to its outputs,
-so any artifact can be reproduced from its own directory.  Exit codes:
-0 success, 2 config error, 3 data error, 4 numeric failure.
+Every option is declared once, in ``OPTIONS``.  Each command resolves its
+options as defaults <- JSON config file <- flags, then writes the fully
+resolved config (seed included) next to its outputs, so any artifact can be
+reproduced from its own directory.  Config-file values get the same type
+and choice checks as flags.  Exit codes: 0 success, 2 config error, 3 data
+error, 4 numeric failure.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from . import boosting, compression, cost, data, serialize, synth, tree as tree_
 from .boosting import GbtConfig
 from .errors import ConfigError, DataError, InvalidInputError, NumericError
 from .evaluation import (
+    FOLD_SCHEMES,
     TASK_BENCHMARK_PRESETS,
     benchmark_report,
     compute_metrics,
@@ -33,7 +36,7 @@ from .features import (
     feature_cost_vector,
     validate_cost_table,
 )
-from .tree import TrainConfig
+from .tree import CLASS_WEIGHTS, OPTIMIZERS, TrainConfig
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -60,35 +63,110 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _share_bits(text) -> int | str:
+    """A sharing bit width, or "none" (as 0) to skip weight sharing."""
+    return text if text == "none" else int(text)
+
+
+# ---------------------------------------------------------------------------
+# options
+
+_TRAIN, _GBT = TrainConfig(), GbtConfig()
+PATH = (str, None)
+SEED = {"seed": (int, None)}  # None: $PEOT_SEED, else 0
+FEATURES = {"feature_spec": PATH, "cost_table": PATH}
+
+# OPTIONS[command][name] = (type or tuple of choices, default).  Option
+# a_b is the flag --a-b and the config-file key "a_b"; both are checked
+# against the same type or choices.
+OPTIONS = {
+    "ingest": {
+        "seed": (int, 0), "format": (("idx", "csv"), None),
+        "images": PATH, "labels": PATH, "signal": PATH, "labels_csv": PATH,
+        "window_len": (int, 256), "overlap": (float, 0.0),
+    },
+    "synth": {**SEED, "task": (synth.TASKS, None), "n_windows": (int, 800)},
+    "train": {
+        **SEED, "dataset": PATH, "model": (MODEL_TYPES, "peot"),
+        "depth": (int, _TRAIN.depth), "hidden": (int, _TRAIN.hidden),
+        "epochs": (int, _TRAIN.epochs), "batch_size": (int, _TRAIN.batch_size),
+        "learning_rate": (float, _TRAIN.learning_rate),
+        "optimizer": (OPTIMIZERS, _TRAIN.optimizer),
+        "lam": (float, _TRAIN.lam),
+        "warmup_epochs": (int, _TRAIN.warmup_epochs),
+        "class_weight": (CLASS_WEIGHTS, _TRAIN.class_weight),
+        "holdout": (float, 0.25),
+        "n_trees": (int, _GBT.n_trees), "max_depth": (int, _GBT.max_depth),
+        "gbt_learning_rate": (float, _GBT.learning_rate),
+        "cost_lambda": (float, 0.5), **FEATURES,
+    },
+    "compress": {
+        **SEED, "model": PATH, "dataset": PATH, "sparsity": (float, 0.9),
+        "share_bits": (_share_bits, 4), "epochs": (int, 15),
+        "lam": (float, None),  # None: the trained model's lam
+        **FEATURES,
+    },
+    "eval": {**SEED, "model": PATH, "dataset": PATH, **FEATURES},
+    "sweep": {
+        **SEED, "dataset": PATH, "lambdas": (str, "0,0.01,0.1,1"),
+        "depths": (str, "3,4"), "k": (int, 5), "hidden": (int, 4),
+        "epochs": (int, 120), "warmup_epochs": (int, 40),
+        "learning_rate": (float, _TRAIN.learning_rate),
+        "class_weight": (CLASS_WEIGHTS, _TRAIN.class_weight),
+        "scheme": (FOLD_SCHEMES, "blocks"), **FEATURES,
+    },
+    "report": {
+        **SEED, "dataset": PATH, "k": (int, 5),
+        "task_preset": (tuple(sorted(TASK_BENCHMARK_PRESETS)), None),
+        "scheme": (FOLD_SCHEMES, "blocks"), "provenance": (str, "synthetic"),
+        **FEATURES,
+    },
+}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicitly passed flags.
 
-    A config-file value is read through the type of the matching flag, so
-    it is checked as the flag would be; a null value leaves the default in
-    place, as an absent flag does.
+    A config-file value is read through the type of the matching flag, or
+    must be one of its choices; a null value leaves the default in place,
+    as an absent flag does.
     """
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    options = OPTIONS[args.command]
+    resolved = {name: default for name, (_, default) in options.items()}
+    if args.config:
         file_cfg = _load_json(args.config)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(options)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if value is None:
-                continue
-            try:
-                resolved[key] = args.flag_types.get(key, str)(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from None
-    for key in defaults:
-        value = getattr(args, key, None)
+            if value is not None:
+                resolved[key] = _config_value(key, value, options[key][0])
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
-    if resolved.get("seed") is None:
+    if resolved["seed"] is None:
         resolved["seed"] = _default_seed()
     return resolved
+
+
+def _config_value(key, value, kind):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(f"config key {key!r}: {value!r} is not one of {kind}")
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from None
+
+
+def _train_config(resolved) -> TrainConfig:
+    """A TrainConfig from the resolved options named after its fields."""
+    return TrainConfig(**{f.name: resolved[f.name] for f in fields(TrainConfig)
+                          if f.name in resolved})
 
 
 def _out_dir(args) -> Path:
@@ -116,11 +194,6 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(v) for v in _float_list(text)]
-
-
-def _share_bits(text) -> int | str:
-    """A sharing bit width, or "none" (as 0) to skip weight sharing."""
-    return text if text == "none" else int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +245,7 @@ def _load_featurized(path, resolved, stored=None):
 
 
 def cmd_ingest(args):
-    defaults = {
-        "format": None, "images": None, "labels": None, "signal": None,
-        "labels_csv": None, "window_len": 256, "overlap": 0.0, "seed": 0,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     fmt = resolved["format"]
     if fmt == "idx":
@@ -199,8 +268,7 @@ def cmd_ingest(args):
 
 
 def cmd_synth(args):
-    defaults = {"task": None, "n_windows": 800, "seed": None}
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     rec = synth.synth_recording(resolved["task"], resolved["n_windows"],
                                 resolved["seed"])
@@ -209,15 +277,6 @@ def cmd_synth(args):
     _write_resolved(out, "synth", resolved)
     print(f"wrote {out / 'dataset.json'} note={rec.meta}")
     return 0
-
-
-TRAIN_DEFAULTS = {
-    "dataset": None, "model": "peot", "depth": 3, "hidden": 8, "epochs": 30,
-    "batch_size": 32, "learning_rate": 0.1, "optimizer": "momentum",
-    "lam": 0.0, "warmup_epochs": 0, "class_weight": None, "seed": None,
-    "holdout": 0.25, "n_trees": 8, "max_depth": 4, "gbt_learning_rate": 0.3,
-    "cost_lambda": 0.5, "feature_spec": None, "cost_table": None,
-}
 
 
 def _holdout_split(n, fraction, seed):
@@ -232,12 +291,10 @@ def _holdout_split(n, fraction, seed):
 
 
 def cmd_train(args):
-    resolved = _resolve(args, TRAIN_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(args)
     if not resolved["dataset"]:
         raise ConfigError("--dataset is required")
-    if resolved["model"] not in MODEL_TYPES:
-        raise ConfigError(f"--model must be one of {MODEL_TYPES}")
     holdout = resolved["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ConfigError(f"--holdout must lie in [0, 1), got {holdout}")
@@ -247,14 +304,7 @@ def cmd_train(args):
     tr_idx, te_idx = _holdout_split(X.shape[0], holdout, seed)
 
     if resolved["model"] == "peot":
-        cfg = TrainConfig(
-            depth=resolved["depth"], hidden=resolved["hidden"],
-            epochs=resolved["epochs"], batch_size=resolved["batch_size"],
-            learning_rate=resolved["learning_rate"],
-            optimizer=resolved["optimizer"], lam=resolved["lam"],
-            warmup_epochs=resolved["warmup_epochs"],
-            class_weight=resolved["class_weight"], seed=seed,
-        )
+        cfg = _train_config(resolved)
         model = tree_mod.train(X[tr_idx], y[tr_idx], cfg,
                                cost_vec=c if cfg.lam > 0 else None,
                                n_classes=n_classes)
@@ -309,12 +359,7 @@ def _load_model_doc(path):
 
 
 def cmd_compress(args):
-    defaults = {
-        "model": None, "dataset": None, "sparsity": 0.9, "share_bits": 4,
-        "epochs": 15, "seed": None, "feature_spec": None, "cost_table": None,
-        "lam": None,
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     if not resolved["model"] or not resolved["dataset"]:
         raise ConfigError("--model and --dataset are required")
@@ -353,9 +398,7 @@ def cmd_compress(args):
 
 
 def cmd_eval(args):
-    defaults = {"model": None, "dataset": None, "seed": None,
-                "feature_spec": None, "cost_table": None}
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     if not resolved["model"] or not resolved["dataset"]:
         raise ConfigError("--model and --dataset are required")
@@ -379,6 +422,9 @@ def cmd_eval(args):
     else:
         labels = boosting.predict_labels(model, X_eval)
         extra = {"deployed_power": boosting.model_power(model, X_eval, c)}
+    if y.max() >= n_classes:
+        raise DataError(f"dataset has {int(y.max()) + 1} classes, "
+                        f"the model {n_classes}")
     metrics = compute_metrics(y_eval, labels, n_classes)
     result = {"split": split, "metrics": metrics.to_doc(), **extra}
     _write_json(result, out / "metrics.json")
@@ -388,26 +434,14 @@ def cmd_eval(args):
 
 
 def cmd_sweep(args):
-    defaults = {
-        "dataset": None, "lambdas": "0,0.01,0.1,1", "depths": "3,4", "k": 5,
-        "hidden": 4, "epochs": 120, "warmup_epochs": 40, "learning_rate": 0.1,
-        "class_weight": None, "seed": None, "feature_spec": None,
-        "cost_table": None, "scheme": "blocks",
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     if not resolved["dataset"]:
         raise ConfigError("--dataset is required")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
-    base = TrainConfig(
-        hidden=resolved["hidden"], epochs=resolved["epochs"],
-        warmup_epochs=resolved["warmup_epochs"],
-        learning_rate=resolved["learning_rate"],
-        class_weight=resolved["class_weight"],
-    )
     points, csv_text = tradeoff_sweep(
         X, y, c, _float_list(resolved["lambdas"]), _int_list(resolved["depths"]),
-        base, k=resolved["k"], scheme=resolved["scheme"],
+        _train_config(resolved), k=resolved["k"], scheme=resolved["scheme"],
         seed=resolved["seed"], fingerprint=container.fingerprint(),
     )
     (out / "sweep.csv").write_text(csv_text)
@@ -419,28 +453,17 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
-    defaults = {
-        "dataset": None, "k": 5, "seed": None, "task_preset": None,
-        "feature_spec": None, "cost_table": None, "scheme": "blocks",
-        "provenance": "synthetic",
-    }
-    resolved = _resolve(args, defaults)
+    resolved = _resolve(args)
     out = _out_dir(args)
     if not resolved["dataset"]:
         raise ConfigError("--dataset is required")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
-    preset = {}
-    if resolved["task_preset"]:
-        if resolved["task_preset"] not in TASK_BENCHMARK_PRESETS:
-            raise ConfigError(
-                f"unknown task preset {resolved['task_preset']!r}; "
-                f"expected one of {sorted(TASK_BENCHMARK_PRESETS)}"
-            )
-        preset = TASK_BENCHMARK_PRESETS[resolved["task_preset"]]
+    preset = resolved["task_preset"]
     report = benchmark_report(
         X, y, c, k=resolved["k"], scheme=resolved["scheme"],
         seed=resolved["seed"], fingerprint=container.fingerprint(),
-        provenance=resolved["provenance"], **preset,
+        provenance=resolved["provenance"],
+        **(TASK_BENCHMARK_PRESETS[preset] if preset else {}),
     )
     _write_json(report, out / "report.json")
     (out / "report.csv").write_text(report_to_csv(report))
@@ -462,95 +485,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peot",
         description="Power-efficient oblique trees: train, compress, evaluate.",
+        epilog="--seed defaults to $PEOT_SEED, else 0.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    # the cmd_* names are looked up on each call, so a wrapper installed on
+    # the module (perfbench's spans) is the function dispatched
+    for command, func, help_text in (
+        ("ingest", cmd_ingest, "convert IDX or CSV inputs to a dataset"),
+        ("synth", cmd_synth, "generate a synthetic labeled recording"),
+        ("train", cmd_train, "train a model on a dataset"),
+        ("compress", cmd_compress, "prune/share/fine-tune an oblique tree"),
+        ("eval", cmd_eval, "evaluate a model file on a dataset"),
+        ("sweep", cmd_sweep, "lambda x depth performance/power sweep"),
+        ("report", cmd_report, "GBT/PEGB/PEOT normalized benchmark"),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file (flags override)")
-        p.add_argument("--seed", type=int, help="global seed (default: $PEOT_SEED or 0)")
-
-    p = sub.add_parser("ingest", help="convert IDX or CSV inputs to a dataset")
-    common(p)
-    p.add_argument("--format", choices=("idx", "csv"))
-    p.add_argument("--images"), p.add_argument("--labels")
-    p.add_argument("--signal"), p.add_argument("--labels-csv", dest="labels_csv")
-    p.add_argument("--window-len", dest="window_len", type=int)
-    p.add_argument("--overlap", type=float)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled recording")
-    common(p)
-    p.add_argument("--task", choices=synth.TASKS)
-    p.add_argument("--n-windows", dest="n_windows", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train a model on a dataset")
-    common(p)
-    p.add_argument("--dataset"), p.add_argument("--model", choices=MODEL_TYPES)
-    p.add_argument("--depth", type=int), p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--optimizer", choices=("momentum", "adaptive"))
-    p.add_argument("--lam", type=float)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--class-weight", dest="class_weight", choices=("balanced",))
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--n-trees", dest="n_trees", type=int)
-    p.add_argument("--max-depth", dest="max_depth", type=int)
-    p.add_argument("--gbt-learning-rate", dest="gbt_learning_rate", type=float)
-    p.add_argument("--cost-lambda", dest="cost_lambda", type=float)
-    p.add_argument("--feature-spec", dest="feature_spec")
-    p.add_argument("--cost-table", dest="cost_table")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("compress", help="prune/share/fine-tune an oblique tree")
-    common(p)
-    p.add_argument("--model"), p.add_argument("--dataset")
-    p.add_argument("--sparsity", type=float)
-    p.add_argument("--share-bits", dest="share_bits", type=_share_bits)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--feature-spec", dest="feature_spec")
-    p.add_argument("--cost-table", dest="cost_table")
-    p.set_defaults(func=cmd_compress)
-
-    p = sub.add_parser("eval", help="evaluate a model file on a dataset")
-    common(p)
-    p.add_argument("--model"), p.add_argument("--dataset")
-    p.add_argument("--feature-spec", dest="feature_spec")
-    p.add_argument("--cost-table", dest="cost_table")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="lambda x depth performance/power sweep")
-    common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--lambdas"), p.add_argument("--depths")
-    p.add_argument("--k", type=int), p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--class-weight", dest="class_weight", choices=("balanced",))
-    p.add_argument("--scheme", choices=("blocks", "stratified"))
-    p.add_argument("--feature-spec", dest="feature_spec")
-    p.add_argument("--cost-table", dest="cost_table")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("report", help="GBT/PEGB/PEOT normalized benchmark")
-    common(p)
-    p.add_argument("--dataset")
-    p.add_argument("--k", type=int)
-    p.add_argument("--task-preset", dest="task_preset",
-                   choices=sorted(TASK_BENCHMARK_PRESETS))
-    p.add_argument("--scheme", choices=("blocks", "stratified"))
-    p.add_argument("--provenance")
-    p.add_argument("--feature-spec", dest="feature_spec")
-    p.add_argument("--cost-table", dest="cost_table")
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
-        p.set_defaults(flag_types={a.dest: a.type or str for a in p._actions})
+        for name, (kind, _) in OPTIONS[command].items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind)
+            else:
+                p.add_argument(flag, type=kind)
+        p.set_defaults(func=func)
     return parser
 
 

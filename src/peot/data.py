@@ -19,6 +19,12 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _check_labels(labels: np.ndarray) -> None:
+    """Class labels index classes from 0; a negative one is bad data."""
+    if labels.size and labels.min() < 0:
+        raise DataError(f"labels must be >= 0, found {int(labels.min())}")
+
+
 @dataclass
 class Recording:
     """Labeled signal windows: ``windows[i]`` is (n_channels, window_len)."""
@@ -41,6 +47,7 @@ class Recording:
             raise InvalidInputError("sampling rate must be positive")
         if not np.all(np.isfinite(self.windows)):
             raise DataError("recording contains non-finite samples")
+        _check_labels(self.labels)
 
     @property
     def n_windows(self) -> int:
@@ -74,6 +81,7 @@ class Dataset:
             raise InvalidInputError("one label per row required")
         if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:
             raise InvalidInputError("feature_names length must match X columns")
+        _check_labels(self.y)
 
     @property
     def n_samples(self) -> int:

@@ -48,7 +48,8 @@ def compute_metrics(y_true, y_pred, n_classes: int | None = None) -> Metrics:
 
     Binary tasks report positive-class F1 and sensitivity/specificity of
     classes 1/0; multiclass tasks report macro averages (one-vs-rest
-    specificity).
+    specificity).  Labels and predictions must lie in [0, n_classes),
+    n_classes being at least 2.
     """
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -57,6 +58,10 @@ def compute_metrics(y_true, y_pred, n_classes: int | None = None) -> Metrics:
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1
     n_classes = max(n_classes, 2)
+    if min(y_true.min(), y_pred.min()) < 0 or \
+            max(y_true.max(), y_pred.max()) >= n_classes:
+        raise InvalidInputError(
+            f"labels and predictions must lie in [0, {n_classes})")
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(conf, (y_true, y_pred), 1)
     accuracy = float(np.trace(conf) / conf.sum())

@@ -28,6 +28,8 @@ SIGMA_FLOOR = 1e-8
 MAX_PARAM_ABS = 1e6
 
 PARAM_NAMES = ("W1", "b1", "w2", "b2", "leaf_logits")
+OPTIMIZERS = ("momentum", "adaptive")
+CLASS_WEIGHTS = ("balanced",)  # besides None, unweighted
 
 Forward = namedtuple("Forward", "Z pre H logits P q leaf_probs pi S")
 
@@ -47,13 +49,13 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 0.1
-    optimizer: str = "momentum"  # "momentum" or "adaptive"
+    optimizer: str = "momentum"  # one of OPTIMIZERS
     momentum: float = 0.9
     lam: float = 0.0  # weight of the power-cost penalty
     warmup_epochs: int = 0  # epochs trained penalty-free before lam applies
     seed: int = 0
     init_scale: float = 1.0
-    class_weight: str | None = None  # None or "balanced"
+    class_weight: str | None = None  # None or one of CLASS_WEIGHTS
     l1_mode: str = "prox"  # how the penalty's L1 term is applied in training
 
     def validate(self):
@@ -71,9 +73,9 @@ class TrainConfig:
             raise InvalidInputError("lam must be >= 0")
         if self.warmup_epochs < 0:
             raise InvalidInputError("warmup_epochs must be >= 0")
-        if self.optimizer not in ("momentum", "adaptive"):
+        if self.optimizer not in OPTIMIZERS:
             raise InvalidInputError(f"unknown optimizer {self.optimizer!r}")
-        if self.class_weight not in (None, "balanced"):
+        if self.class_weight not in (None, *CLASS_WEIGHTS):
             raise InvalidInputError(f"unknown class_weight {self.class_weight!r}")
         if self.l1_mode not in ("prox", "subgradient"):
             raise InvalidInputError(f"unknown l1_mode {self.l1_mode!r}")
@@ -578,6 +580,17 @@ def _check_divergence(tree: ObliqueTree, epoch: int) -> None:
         )
 
 
+def training_set(X, y):
+    """X as a nonempty 2-D float matrix and y as one int label per row."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise InvalidInputError("training set must be a nonempty 2-D matrix")
+    if y.shape != (X.shape[0],):
+        raise InvalidInputError("one label per sample required")
+    return X, y
+
+
 def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
           init_tree=None, pruned=None, codebook=None) -> ObliqueTree:
     """Minibatch gradient training, deterministic for a fixed seed.
@@ -597,12 +610,7 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     ``MAX_PARAM_ABS`` (1e6) in magnitude; see ``_check_divergence``.
     """
     config.validate()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InvalidInputError("training set must be a nonempty 2-D matrix")
-    if y.shape != (X.shape[0],):
-        raise InvalidInputError("one label per sample required")
+    X, y = training_set(X, y)
     if init_tree is not None:
         n_classes = init_tree.n_classes
     elif n_classes is None:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from peot.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
@@ -98,3 +99,47 @@ def test_eval_on_altered_fingerprint_exits_data(seizure_dataset, tmp_path, capsy
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "data" and "fingerprint" in error["message"]
     assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+@pytest.fixture(scope="module")
+def finger_dataset(tmp_path_factory):
+    out = tmp_path_factory.mktemp("finger")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--task", "finger", "--n-windows", "200",
+                     "--out", str(out), "--seed", "1"]) == 0
+    return out / "dataset.json"
+
+
+@pytest.mark.parametrize("model", ["peot", "gbt"])
+def test_eval_on_dataset_with_more_classes_exits_data(seizure_dataset, finger_dataset,
+                                                      model, tmp_path, capsys):
+    assert main(["train", "--dataset", str(seizure_dataset), "--model", model,
+                 "--epochs", "1", "--n-trees", "2", "--out", str(tmp_path / "train")]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--model", str(tmp_path / "train" / "model.json"),
+                 "--dataset", str(finger_dataset), "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "DataError"
+    assert "5 classes" in error["message"] and "2" in error["message"]
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_ingest_with_a_negative_label_exits_data(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    window_len, n_windows = 128, 8
+    signal = tmp_path / "signal.csv"
+    with open(signal, "w") as fh:
+        fh.write("time,ch0,ch1\n")
+        for t, row in enumerate(rng.normal(size=(window_len * n_windows, 2))):
+            fh.write(f"{t / 128.0},{row[0]},{row[1]}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("window_index,label\n"
+                      + "".join(f"{i},{i % 4 - 1}\n" for i in range(n_windows)))
+    code = main(["ingest", "--format", "csv", "--signal", str(signal),
+                 "--labels-csv", str(labels), "--window-len", str(window_len),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "DataError" and "-1" in error["message"]
+    assert not (tmp_path / "out" / "dataset.json").exists()

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from peot import boosting, compression, cost, evaluation, features, synth
 from peot.boosting import GbtConfig
-from peot.errors import NumericError
+from peot.errors import InvalidInputError, NumericError
 from peot.evaluation import (
     benchmark_report,
     cross_validate,
@@ -109,3 +109,21 @@ def test_sweep_records_a_diverging_point_and_continues(seizure, monkeypatch):
     assert all(p.error is None and np.isfinite(p.f1_mean) for p in (points[0], points[2]))
     lams = [line.split(",")[0] for line in csv_text.splitlines()[1:]]
     assert lams == ["0.0"] * 3 + ["0.1"] * 3
+
+
+@pytest.mark.parametrize("y_true, y_pred, n_classes", [
+    ([0, 1, -1, 1], [0, 1, 1, 1], 2),
+    ([0, 1, 1, 1], [0, -1, 1, 1], 2),
+    ([0, 1, 2, 1], [0, 1, 1, 1], 2),
+    ([0, 1, 1, 1], [0, 1, 3, 1], 3),
+    ([0, -1], [0, 0], None),
+])
+def test_compute_metrics_rejects_labels_outside_the_classes(y_true, y_pred, n_classes):
+    with pytest.raises(InvalidInputError):
+        evaluation.compute_metrics(y_true, y_pred, n_classes)
+
+
+def test_compute_metrics_counts_every_label_in_range():
+    m = evaluation.compute_metrics([0, 1, 2, 1], [0, 1, 1, 1], 3)
+    assert m.confusion.tolist() == [[1, 0, 0], [0, 2, 0], [0, 1, 0]]
+    assert m.accuracy == 0.75
