@@ -30,6 +30,7 @@ from .evaluation import (
 )
 from .features import (
     DEFAULT_COST_TABLE,
+    FIR_ORDER,
     FeatureSpec,
     default_feature_spec,
     extract_features,
@@ -185,15 +186,18 @@ def _write_resolved(out: Path, command: str, resolved: dict):
     _write_json({"command": command, **resolved}, out / "resolved_config.json")
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in str(text).split(",") if v != ""]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in _float_list(text)]
+def _number_list(text: str, kind=float) -> list:
+    """Comma-separated values of one type; a bad entry is a ConfigError."""
+    values = []
+    for v in str(text).split(","):
+        if v == "":
+            continue
+        try:
+            values.append(kind(v))
+        except ValueError:
+            raise ConfigError(f"expected comma-separated {kind.__name__} values, "
+                              f"got {v!r} in {text!r}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +259,10 @@ def cmd_ingest(args):
     elif fmt == "csv":
         if not resolved["signal"] or not resolved["labels_csv"]:
             raise ConfigError("csv ingestion needs --signal and --labels-csv")
+        if resolved["window_len"] < FIR_ORDER + 1:
+            raise ConfigError(
+                f"--window-len must be at least {FIR_ORDER + 1}, as band power "
+                f"needs that many samples; got {resolved['window_len']}")
         container = data.ingest_csv(
             resolved["signal"], resolved["labels_csv"],
             resolved["window_len"], resolved["overlap"],
@@ -438,11 +446,13 @@ def cmd_sweep(args):
     out = _out_dir(args)
     if not resolved["dataset"]:
         raise ConfigError("--dataset is required")
+    lambdas = _number_list(resolved["lambdas"])
+    depths = _number_list(resolved["depths"], int)
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
     points, csv_text = tradeoff_sweep(
-        X, y, c, _float_list(resolved["lambdas"]), _int_list(resolved["depths"]),
-        _train_config(resolved), k=resolved["k"], scheme=resolved["scheme"],
-        seed=resolved["seed"], fingerprint=container.fingerprint(),
+        X, y, c, lambdas, depths, _train_config(resolved), k=resolved["k"],
+        scheme=resolved["scheme"], seed=resolved["seed"],
+        fingerprint=container.fingerprint(),
     )
     (out / "sweep.csv").write_text(csv_text)
     _write_json({"points": [p.to_doc() for p in points],

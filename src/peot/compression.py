@@ -156,7 +156,6 @@ def prune(tree: ObliqueTree, target_sparsity: float):
     mask_flat = np.zeros(flat.size, dtype=bool)
     mask_flat[order[:n_prune]] = True
     mask = mask_flat.reshape(out.W1.shape)
-    out.W1 = out.W1.copy()
     out.W1[mask] = 0.0
     out.compression = CompressionState(pruned=mask.copy())
     return out, mask
@@ -197,7 +196,6 @@ def share(tree: ObliqueTree, mask: np.ndarray, bits: int):
     k = min(2 ** bits, n_distinct)
     centroids, assign = _kmeans_1d(surviving, k)
     out = tree.copy()
-    out.W1 = out.W1.copy()
     out.W1[~mask] = centroids[assign]
     codebook = Codebook(centroids=centroids, assignments=assign)
     out.compression = CompressionState(pruned=mask.copy(), codebook=codebook)
@@ -210,15 +208,15 @@ def fine_tune(tree: ObliqueTree, X, y, mask: np.ndarray,
     """Recovery training under the compression constraints.
 
     Masked entries stay exactly zero; with a codebook, per-cluster summed
-    gradients move centroids so shared weights remain equal.
+    gradients move centroids so shared weights remain equal (``tree.train``
+    trains under the state this puts on a copy of ``tree``).  The returned
+    tree carries the trained state; the caller's codebook does not move.
     """
     if mask.shape != tree.W1.shape:
         raise InvalidInputError("mask shape must match first-layer weights")
-    cb = None if codebook is None else codebook.copy()
-    out = tree_mod.train(X, y, config, cost_vec,
-                         init_tree=tree, pruned=mask, codebook=cb)
-    out.compression = CompressionState(pruned=mask.copy(), codebook=cb)
-    return out
+    start = tree.copy()
+    start.compression = CompressionState(mask, codebook)  # train copies it
+    return tree_mod.train(X, y, config, cost_vec, init_tree=start)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ SIGMA_FLOOR = 1e-8
 MAX_PARAM_ABS = 1e6
 
 PARAM_NAMES = ("W1", "b1", "w2", "b2", "leaf_logits")
+ARRAY_NAMES = PARAM_NAMES + ("mu", "sigma")  # every array a tree stores
 OPTIMIZERS = ("momentum", "adaptive")
 CLASS_WEIGHTS = ("balanced",)  # besides None, unweighted
 
@@ -165,13 +166,11 @@ class ObliqueTree:
         )
 
     def copy(self) -> "ObliqueTree":
-        t = ObliqueTree(
+        return ObliqueTree(
             self.depth, self.n_features, self.n_classes, self.hidden,
-            self.W1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(),
-            self.leaf_logits.copy(), self.mu.copy(), self.sigma.copy(),
+            **{name: getattr(self, name).copy() for name in ARRAY_NAMES},
             compression=None if self.compression is None else self.compression.copy(),
         )
-        return t
 
     # -- forward -----------------------------------------------------------
 
@@ -302,13 +301,7 @@ class ObliqueTree:
         doc.update(
             depth=self.depth, n_features=self.n_features,
             n_classes=self.n_classes, hidden=self.hidden,
-            W1=serialize.encode_array(self.W1),
-            b1=serialize.encode_array(self.b1),
-            w2=serialize.encode_array(self.w2),
-            b2=serialize.encode_array(self.b2),
-            leaf_logits=serialize.encode_array(self.leaf_logits),
-            mu=serialize.encode_array(self.mu),
-            sigma=serialize.encode_array(self.sigma),
+            **{name: serialize.encode_array(getattr(self, name)) for name in ARRAY_NAMES},
             compression=None if self.compression is None else self.compression.to_doc(),
         )
         return doc
@@ -322,13 +315,7 @@ class ObliqueTree:
             comp = CompressionState.from_doc(doc["compression"])
         return cls(
             doc["depth"], doc["n_features"], doc["n_classes"], doc["hidden"],
-            W1=serialize.decode_array(doc["W1"]),
-            b1=serialize.decode_array(doc["b1"]),
-            w2=serialize.decode_array(doc["w2"]),
-            b2=serialize.decode_array(doc["b2"]),
-            leaf_logits=serialize.decode_array(doc["leaf_logits"]),
-            mu=serialize.decode_array(doc["mu"]),
-            sigma=serialize.decode_array(doc["sigma"]),
+            **{name: serialize.decode_array(doc[name]) for name in ARRAY_NAMES},
             compression=comp,
         )
 
@@ -494,68 +481,6 @@ def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
 # training
 
 
-class _W1Handler:
-    """Maps between stored W1 and the trainable view under compression.
-
-    Without constraints the trainable view is W1 itself.  With a prune mask,
-    masked entries are frozen at zero.  With a codebook, the trainable view
-    is the centroid vector: gradients are summed per cluster and every
-    weight in a cluster moves with its centroid.
-    """
-
-    def __init__(self, tree, pruned=None, codebook=None):
-        self.tree = tree
-        self.pruned = pruned
-        self.codebook = codebook
-        if codebook is not None:
-            if pruned is None:
-                raise InvalidInputError("codebook requires the prune mask")
-            self.surv = ~pruned.reshape(-1)
-            self.k = codebook.centroids.size
-            n, h, F = tree.W1.shape
-            surv_idx = np.flatnonzero(self.surv)
-            self.surv_node = surv_idx // (h * F)
-            self.surv_feat = surv_idx % F
-
-    def trainable(self) -> np.ndarray:
-        if self.codebook is not None:
-            return self.codebook.centroids
-        return self.tree.W1
-
-    def reduce_grad(self, gW1: np.ndarray) -> np.ndarray:
-        if self.codebook is not None:
-            flat = gW1.reshape(-1)[self.surv]
-            return np.bincount(self.codebook.assignments, weights=flat,
-                               minlength=self.k)
-        if self.pruned is not None:
-            gW1 = gW1.copy()
-            gW1[self.pruned] = 0.0
-        return gW1
-
-    def materialize(self, trained: np.ndarray) -> None:
-        if self.codebook is not None:
-            self.codebook.centroids = trained
-            flat = np.zeros(self.tree.W1.size)
-            flat[self.surv] = trained[self.codebook.assignments]
-            self.tree.W1 = flat.reshape(self.tree.W1.shape)
-        else:
-            if self.pruned is not None:
-                trained[self.pruned] = 0.0
-            self.tree.W1 = trained
-
-    def prox_thresholds(self, lr, lam, qbar, c):
-        """Per-trainable-entry soft-threshold for the penalty's L1 term.
-
-        Plain weights see lr * lam * q(node) * cost(feature); a shared
-        centroid absorbs the summed thresholds of its cluster members.
-        """
-        if self.codebook is not None:
-            per_entry = qbar[self.surv_node] * c[self.surv_feat]
-            return lr * lam * np.bincount(self.codebook.assignments,
-                                          weights=per_entry, minlength=self.k)
-        return lr * lam * qbar[:, None, None] * c[None, None, :]
-
-
 def _soft_threshold(values, thresholds):
     return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
 
@@ -592,7 +517,7 @@ def training_set(X, y):
 
 
 def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
-          init_tree=None, pruned=None, codebook=None) -> ObliqueTree:
+          init_tree=None) -> ObliqueTree:
     """Minibatch gradient training, deterministic for a fixed seed.
 
     When ``config.lam > 0`` the power penalty joins the objective.  Its
@@ -601,6 +526,14 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     the default, which produces exact zero columns) or as a plain
     subgradient (``l1_mode="subgradient"``).  Returns the trained tree with
     a per-epoch full-data loss trace in ``tree.history``.
+
+    A warm start trains a copy of ``init_tree`` under the first-layer
+    constraint of its ``compression`` state, if any.  Pruned weights are
+    reset to exactly 0 after every step.  With a codebook the centroids are
+    trained instead of the surviving weights: each centroid moves by its
+    cluster's summed gradient and proximal threshold, and every survivor is
+    rewritten from its centroid after every step.  The returned tree carries
+    the trained state; ``init_tree``'s is not moved.
 
     Raises ``InvalidInputError`` for an invalid config, an empty or non-2-D
     ``X``, labels that are not one per row of ``X`` or lie outside
@@ -629,13 +562,23 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     X, y = _validate_batch(tree, X, y, config.lam, cost_vec)
 
     use_prox = config.lam > 0 and config.l1_mode == "prox"
-    handler = _W1Handler(tree, pruned=pruned, codebook=codebook)
     c = None if cost_vec is None else np.asarray(cost_vec, dtype=np.float64)
+    comp = tree.compression
+    codebook = None if comp is None else comp.codebook
+    if codebook is not None:
+        # survivors by flat (node, row, column) index, with node and feature
+        surv = np.flatnonzero(~comp.pruned)
+        h, F = tree.W1.shape[1:]
+        surv_node, surv_feat = surv // (h * F), surv % F
 
-    # optimizer state lives on the trainable views
-    views = {"W1": handler.trainable(), "b1": tree.b1, "w2": tree.w2,
-             "b2": tree.b2, "leaf_logits": tree.leaf_logits}
-    state = {k: np.zeros_like(v) for k, v in views.items()}
+        def per_cluster(values):
+            return np.bincount(codebook.assignments, weights=values,
+                               minlength=codebook.centroids.size)
+
+    # the optimizer updates the trained arrays and their state in place
+    w1 = tree.W1 if codebook is None else codebook.centroids
+    params = [w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits]
+    state = [np.zeros_like(v) for v in params]
 
     def epoch_loss():
         return _objective(tree, X, y, config.lam, c, config.class_weight,
@@ -649,27 +592,31 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            _, grads, qbar = _objective(tree, X[idx], y[idx], lam, c,
-                                        config.class_weight, grad=True,
-                                        l1_grad=not use_prox)
-            grads["W1"] = handler.reduce_grad(grads["W1"])
-            for name in PARAM_NAMES:
-                g = grads[name]
-                v = views[name]
+            _, grad, qbar = _objective(tree, X[idx], y[idx], lam, c,
+                                       config.class_weight, grad=True,
+                                       l1_grad=not use_prox)
+            grads = [grad[name] for name in PARAM_NAMES]
+            if codebook is not None:
+                grads[0] = per_cluster(grads[0].reshape(-1)[surv])
+            for v, g, s in zip(params, grads, state):
                 if config.optimizer == "momentum":
-                    state[name] = config.momentum * state[name] - lr * g
-                    v = v + state[name]
+                    s *= config.momentum
+                    s -= lr * g
+                    v += s
                 else:
-                    state[name] = 0.99 * state[name] + 0.01 * g * g
-                    v = v - lr * g / (np.sqrt(state[name]) + 1e-8)
-                views[name] = v
+                    s *= 0.99
+                    s += 0.01 * g * g
+                    v -= lr * g / (np.sqrt(s) + 1e-8)
             if use_prox and lam > 0:
-                thr = handler.prox_thresholds(lr, lam, qbar, c)
-                views["W1"] = _soft_threshold(views["W1"], thr)
-            tree.b1, tree.w2 = views["b1"], views["w2"]
-            tree.b2, tree.leaf_logits = views["b2"], views["leaf_logits"]
-            handler.materialize(views["W1"])
-            views["W1"] = handler.trainable()
+                if codebook is None:
+                    thr = lr * lam * qbar[:, None, None] * c[None, None, :]
+                else:
+                    thr = lr * lam * per_cluster(qbar[surv_node] * c[surv_feat])
+                w1[...] = _soft_threshold(w1, thr)
+            if comp is not None:
+                tree.W1[comp.pruned] = 0.0
+                if codebook is not None:
+                    np.put(tree.W1, surv, codebook.centroids[codebook.assignments])
         tree.history.append(epoch_loss())
         _check_divergence(tree, epoch)
     return tree

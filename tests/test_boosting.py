@@ -14,6 +14,7 @@ from peot.boosting import (
     quantize_model,
     train_gbt,
     train_gbt_multiclass,
+    _TreeBuilder,
 )
 from peot.compression import model_size_bits
 from peot.errors import InvalidInputError
@@ -153,3 +154,64 @@ class TestOneMemberModel:
         X = np.random.default_rng(7).normal(size=(30, N_FEATURES))
         margins = np.stack([e.margins(X) for e in model.ensembles])
         assert np.array_equal(predict_labels(model, X), margins.argmax(axis=0))
+
+
+
+# ---------------------------------------------------------------------------
+# exact greedy split search against brute force
+
+
+def split_candidates(X, g, h, cfg, cost_vec, used):
+    """(gain, feature, threshold, left rows) of every admissible split, by
+    feature and then ascending threshold, with the builder's gain formula."""
+    G, H = g.sum(), h.sum()
+    parent = G * G / (H + cfg.reg_lambda)
+    for j in range(X.shape[1]):
+        values = np.unique(X[:, j])
+        for thr in 0.5 * (values[:-1] + values[1:]):
+            left = X[:, j] < thr
+            n_left = int(left.sum())
+            if min(n_left, left.size - n_left) < cfg.min_samples_leaf:
+                continue
+            GL, HL = g[left].sum(), h[left].sum()
+            GR, HR = G - GL, H - HL
+            gain = 0.5 * (GL * GL / (HL + cfg.reg_lambda)
+                          + GR * GR / (HR + cfg.reg_lambda) - parent)
+            if cfg.cost_lambda > 0 and j not in used:
+                gain -= cfg.cost_lambda * cost_vec[j]
+            yield gain, j, thr, np.flatnonzero(left)
+
+
+def test_best_split_matches_brute_force():
+    rng = np.random.default_rng(0)
+    n_tied = n_none = 0
+    for _ in range(300):
+        n, F = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        # small integer grids and dyadic gradients keep every sum exact, so
+        # tied gains are equal in both searches whatever the summation order
+        X = rng.integers(0, 4, size=(n + 3, F)).astype(np.float64)
+        g = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0], size=n + 3)
+        h = rng.choice([0.25, 0.5, 1.0], size=n + 3)
+        cfg = GbtConfig(min_samples_leaf=int(rng.integers(1, 4)),
+                        reg_lambda=float(rng.choice([0.0, 1.0, 4.0])),
+                        cost_lambda=float(rng.choice([0.0, 0.0, 0.05, 0.5])))
+        cost_vec = rng.choice([0.5, 1.0, 2.0], size=F)
+        used = {j for j in range(F) if rng.random() < 0.5}
+        idx = np.sort(rng.choice(n + 3, size=n, replace=False))
+        builder = _TreeBuilder(X, g, h, cfg, cost_vec)
+        builder.used_features = set(used)
+        got = builder._best_split(idx)
+
+        candidates = [c for c in split_candidates(X[idx], g[idx], h[idx], cfg, cost_vec, used)
+                      if c[0] > 0.0]
+        if not candidates:
+            n_none += 1
+            assert got is None
+            continue
+        # the first of the largest gains: lowest feature, then lowest threshold
+        best = max(candidates, key=lambda c: c[0])
+        gain, j, thr, left = got
+        assert (gain, j, thr) == best[:3]
+        assert np.array_equal(np.sort(left), best[3])
+        n_tied += sum(c[0] == best[0] for c in candidates) > 1
+    assert n_tied > 10 and n_none > 10  # both the tie order and "no split" are exercised

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from peot.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
+from peot.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_container
 
 
 def test_diverging_train_exits_numeric(tmp_path, capsys):
@@ -142,4 +144,58 @@ def test_ingest_with_a_negative_label_exits_data(tmp_path, capsys):
     assert code == EXIT_DATA
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["type"] == "DataError" and "-1" in error["message"]
+    assert not (tmp_path / "out" / "dataset.json").exists()
+
+
+@pytest.mark.parametrize("depths", ["2.7", "3,2.0", "3,x"])
+def test_sweep_with_a_non_integer_depth_exits_config(seizure_dataset, depths,
+                                                     tmp_path, capsys):
+    code = main(["sweep", "--dataset", str(seizure_dataset), f"--depths={depths}",
+                 "--lambdas", "0", "--epochs", "1", "--warmup-epochs", "0",
+                 "--k", "2", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "ConfigError"
+    assert repr(depths.split(",")[-1]) in error["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_csv_ingest_of_windows_too_short_for_band_power_exits_config(tmp_path, capsys):
+    # the files do not exist: the check runs before anything is read
+    code = main(["ingest", "--format", "csv", "--signal", str(tmp_path / "signal.csv"),
+                 "--labels-csv", str(tmp_path / "labels.csv"), "--window-len", "64",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "ConfigError" and "65" in error["message"]
+    assert not (tmp_path / "out" / "dataset.json").exists()
+
+
+def write_idx(tmp_path, images, labels):
+    n, rows, cols = images.shape
+    image_path, label_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+    image_path.write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols) + images.tobytes())
+    label_path.write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, n) + labels.tobytes())
+    return image_path, label_path
+
+
+def test_idx_ingest_writes_the_images_and_labels(tmp_path, capsys):
+    images = np.arange(3 * 2 * 4, dtype=np.uint8).reshape(3, 2, 4) * 10
+    image_path, label_path = write_idx(tmp_path, images, np.array([2, 0, 1], dtype=np.uint8))
+    assert main(["ingest", "--format", "idx", "--images", str(image_path),
+                 "--labels", str(label_path), "--out", str(tmp_path / "out")]) == 0
+    ds = load_container(tmp_path / "out" / "dataset.json")
+    assert np.array_equal(ds.X, images.reshape(3, 8))
+    assert ds.y.tolist() == [2, 0, 1]
+
+
+def test_idx_ingest_of_a_truncated_header_exits_data(tmp_path, capsys):
+    images = np.zeros((3, 2, 4), dtype=np.uint8)
+    image_path, label_path = write_idx(tmp_path, images, np.zeros(3, dtype=np.uint8))
+    image_path.write_bytes(image_path.read_bytes()[:10])
+    code = main(["ingest", "--format", "idx", "--images", str(image_path),
+                 "--labels", str(label_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "DataError" and "truncated IDX header" in error["message"]
     assert not (tmp_path / "out" / "dataset.json").exists()

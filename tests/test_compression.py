@@ -14,7 +14,7 @@ from peot.compression import (
     size_breakdown,
 )
 from peot.errors import InvalidInputError
-from peot.tree import ObliqueTree, TrainConfig
+from peot.tree import ObliqueTree, TrainConfig, train
 
 
 def random_tree(depth=2, F=5, C=2, hidden=3, seed=0):
@@ -152,3 +152,35 @@ def test_dense_float32_bits_closed_form():
         "accounting": "dense-float32", "total_bits": 32 * (24 + 6 + 6 + 3 + 8),
         "w1_bits": 32 * 24, "other_params_bits": 32 * (6 + 6 + 3 + 8),
     }
+
+
+@pytest.mark.parametrize("optimizer", ["momentum", "adaptive"])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("bits", [None, 2])
+def test_train_from_a_compressed_tree_keeps_its_constraint(optimizer, lam, bits):
+    X, y = blob_data()
+    cost_vec = np.linspace(1.0, 3.0, X.shape[1])
+    start, mask = prune(random_tree(), 0.5)
+    if bits is not None:
+        start, _ = share(start, mask, bits)
+    before = start.compression.copy()
+    config = TrainConfig(depth=2, hidden=3, epochs=3, lam=lam, seed=1,
+                         optimizer=optimizer, learning_rate=0.05)
+    out = train(X, y, config, cost_vec if lam > 0 else None, init_tree=start)
+
+    assert np.all(out.W1[mask] == 0.0)
+    assert np.array_equal(out.compression.pruned, mask)
+    assert not np.array_equal(out.W1[~mask], start.W1[~mask])
+    codebook = out.compression.codebook
+    if bits is not None:
+        assert np.array_equal(out.W1[~mask], codebook.centroids[codebook.assignments])
+        assert np.array_equal(codebook.assignments, before.codebook.assignments)
+        assert not np.array_equal(codebook.centroids, before.codebook.centroids)
+        # the start tree's state is not moved
+        assert np.array_equal(start.compression.codebook.centroids, before.codebook.centroids)
+    else:
+        assert codebook is None
+    # training from the state on the tree is what fine_tune does
+    tuned = fine_tune(start, X, y, mask, start.compression.codebook, config,
+                      cost_vec=cost_vec if lam > 0 else None)
+    assert tuned.to_doc() == out.to_doc()

@@ -1,7 +1,10 @@
+import gzip
+import struct
+
 import numpy as np
 import pytest
 
-from peot.data import Dataset, Recording
+from peot.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, Recording, ingest_idx
 from peot.errors import DataError
 
 
@@ -17,3 +20,19 @@ def test_dataset_rejects_a_negative_label():
     with pytest.raises(DataError, match="-2"):
         Dataset(X=X, y=[-2, 0, 1])
     assert Dataset(X=X, y=[0, 0, 1]).n_classes == 2
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_ingest_idx_returns_the_exact_rows_and_labels(tmp_path, compress):
+    images = np.array([[[0, 255], [7, 128]],
+                       [[1, 2], [3, 4]],
+                       [[200, 100], [50, 25]]], dtype=np.uint8)
+    labels = np.array([9, 0, 3], dtype=np.uint8)
+    files = {"images": struct.pack(">IIII", IDX_IMAGES_MAGIC, 3, 2, 2) + images.tobytes(),
+             "labels": struct.pack(">II", IDX_LABELS_MAGIC, 3) + labels.tobytes()}
+    for name, raw in files.items():
+        (tmp_path / name).write_bytes(gzip.compress(raw) if compress else raw)
+    ds = ingest_idx(tmp_path / "images", tmp_path / "labels")
+    assert ds.X.dtype == np.uint8
+    assert np.array_equal(ds.X, images.reshape(3, 4))
+    assert ds.y.dtype == np.int64 and ds.y.tolist() == [9, 0, 3]
