@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import serialize, tree as tree_mod
-from .errors import InvalidInputError
+from .errors import DataError, InvalidInputError
 from .tree import ObliqueTree, TrainConfig
 
 FLOAT_BITS = 32
@@ -131,6 +131,35 @@ class CompressionState:
             "pruned": serialize.encode_array(self.pruned.astype(np.uint8)),
             "codebook": None if self.codebook is None else self.codebook.to_doc(),
         }
+
+    def check_matches(self, W1: np.ndarray) -> None:
+        """Raise ``DataError`` unless this state describes ``W1`` exactly.
+
+        Pruned entries must be 0 and, with a codebook, each survivor (in
+        flattened order) must equal its assigned centroid.  Checked when a
+        stored tree is loaded; training keeps it true by construction.
+        """
+        if self.pruned.shape != W1.shape:
+            raise DataError(f"compression mask has shape {self.pruned.shape}, "
+                            f"W1 has shape {W1.shape}")
+        nonzero = int(np.count_nonzero(W1[self.pruned]))
+        if nonzero:
+            raise DataError(f"{nonzero} pruned W1 entries are nonzero")
+        if self.codebook is None:
+            return
+        centroids, assignments = self.codebook.centroids, self.codebook.assignments
+        survivors = W1[~self.pruned]
+        if assignments.shape != survivors.shape:
+            raise DataError(f"codebook assigns {assignments.size} weights, "
+                            f"W1 has {survivors.size} survivors")
+        k = centroids.size
+        if centroids.ndim != 1 or assignments.dtype.kind not in "iu" or (
+                assignments.size and (assignments.min() < 0 or assignments.max() >= k)):
+            raise DataError(f"codebook assignments must be integers in [0, {k})")
+        mismatched = int(np.count_nonzero(survivors != centroids[assignments]))
+        if mismatched:
+            raise DataError(f"{mismatched} surviving W1 entries differ from "
+                            "their codebook centroid")
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CompressionState":

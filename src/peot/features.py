@@ -7,6 +7,7 @@ the filtering stage).  Relative extraction costs come from a user-editable
 cost table normalized so line-length costs 1.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ FEATURE_KINDS = (LINE_LENGTH, VARIANCE, BAND_POWER)
 
 # windowed-sinc design, Hamming window; order 64 => 65 taps
 FIR_ORDER = 64
+
+# windows per band-power convolution in extract_features: bounds the
+# temporary arrays, so featurising a whole recording does not raise peak memory
+_BLOCK_WINDOWS = 32
 
 # Relative per-feature extraction cost.  Only the ordering (line-length
 # cheapest, band power dominated by its FIR stage) is physically grounded;
@@ -150,11 +155,14 @@ def variance(samples) -> float:
     return float(np.var(x))
 
 
+@functools.lru_cache
 def design_bandpass(lo: float, hi: float, fs: float,
                     order: int = FIR_ORDER) -> np.ndarray:
     """Windowed-sinc band-pass taps (difference of sincs, Hamming window).
 
     The impulse response is symmetric (linear phase), length ``order + 1``.
+    Taps are designed once per argument tuple and cached; the returned
+    array is shared between callers and read-only.
     """
     if not 0.0 < lo < hi < fs / 2.0:
         raise InvalidInputError(
@@ -167,7 +175,29 @@ def design_bandpass(lo: float, hi: float, fs: float,
         return r * np.sinc(r * n)
 
     taps = (lowpass(hi) - lowpass(lo)) * np.hamming(order + 1)
+    taps.flags.writeable = False
     return taps
+
+
+def _check_band_power_length(size: int, order: int) -> None:
+    if size < order + 1:
+        raise InvalidInputError(
+            f"band_power needs at least {order + 1} samples, got {size}"
+        )
+
+
+def _band_powers(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Band power of each row of an (n, L) array, L >= len(taps), n >= 1.
+
+    One convolution runs over the rows laid end to end.  Each kept output
+    is the same full-overlap dot product a per-row convolution computes;
+    outputs that mix two rows fall in the ``order`` warm-up samples of the
+    later row, which are dropped.
+    """
+    n, size = rows.shape
+    order = taps.size - 1
+    y = np.convolve(rows.ravel(), taps)[: n * size].reshape(n, size)[:, order:]
+    return np.mean(y * y, axis=1)
 
 
 def band_power(samples, fs: float, lo: float, hi: float,
@@ -181,32 +211,39 @@ def band_power(samples, fs: float, lo: float, hi: float,
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("band_power needs a 1-D window")
-    if x.size < order + 1:
-        raise InvalidInputError(
-            f"band_power needs at least {order + 1} samples, got {x.size}"
-        )
-    taps = design_bandpass(lo, hi, fs, order)
-    y = np.convolve(x, taps)[order:x.size]
-    return float(np.mean(y * y))
-
-
-_KERNELS = {
-    LINE_LENGTH: lambda x, fs, entry: line_length(x),
-    VARIANCE: lambda x, fs, entry: variance(x),
-    BAND_POWER: lambda x, fs, entry: band_power(x, fs, *entry.band),
-}
+    _check_band_power_length(x.size, order)
+    return float(_band_powers(x[None, :], design_bandpass(lo, hi, fs, order))[0])
 
 
 def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
-    """Feature matrix: one row per window, one column per spec entry."""
+    """Feature matrix: one row per window, one column per spec entry.
+
+    Band power runs one band at a time over blocks of windows; every value
+    equals what ``band_power`` gives for that window.
+    """
     spec.validate_for(recording.n_channels, recording.fs)
-    n = recording.n_windows
+    windows = recording.windows
+    n, _, size = windows.shape
     out = np.empty((n, spec.n_features), dtype=np.float64)
+    bands: dict[tuple, list[int]] = {}
     for j, entry in enumerate(spec.entries):
-        kernel = _KERNELS[entry.kind]
-        channel = recording.windows[:, entry.channel, :]
+        if entry.kind == BAND_POWER:
+            bands.setdefault(entry.band, []).append(j)
+            continue
+        kernel = line_length if entry.kind == LINE_LENGTH else variance
+        channel = windows[:, entry.channel, :]
         for i in range(n):
-            out[i, j] = kernel(channel[i], recording.fs, entry)
+            out[i, j] = kernel(channel[i])
+    if bands and n:
+        _check_band_power_length(size, FIR_ORDER)
+    for band, cols in bands.items():
+        taps = design_bandpass(*band, recording.fs)
+        channels = [spec.entries[j].channel for j in cols]
+        for start in range(0, n, _BLOCK_WINDOWS):
+            block = windows[start:start + _BLOCK_WINDOWS, channels, :]
+            m = block.shape[0]
+            powers = _band_powers(block.reshape(-1, size), taps)
+            out[start:start + m, cols] = powers.reshape(m, len(cols))
     return out
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .data import Recording
 from .errors import InvalidInputError
-from .features import line_length
 
 TASKS = ("seizure", "tremor", "finger")
 
@@ -32,6 +31,9 @@ N_FINGER_CLASSES = 5
 FINGER_FREQS = (9.0, 13.0, 35.0, 75.0)
 
 AMPLITUDE_JITTER = (0.85, 1.25)
+
+# windows per block in the separability note's line-length pass
+_NOTE_BLOCK = 64
 
 
 def _burst_envelope(rng, window_len, lo=0.6, hi=0.95):
@@ -127,9 +129,13 @@ def _separability_note(task, windows, labels) -> dict:
     note = {"n_windows": int(labels.size),
             "class_counts": np.bincount(labels).tolist()}
     if task in ("seizure", "tremor"):
-        ll = np.array([
-            np.mean([line_length(windows[i, ch]) for ch in range(windows.shape[1])])
-            for i in range(labels.size)
+        # per-window line length (as features.line_length), mean over channels;
+        # blocks of windows keep the temporaries small next to the recording
+        size = windows.shape[2]
+        ll = np.concatenate([
+            np.mean(np.sum(np.abs(np.diff(windows[i:i + _NOTE_BLOCK], axis=2)), axis=2) / size,
+                    axis=1)
+            for i in range(0, labels.size, _NOTE_BLOCK)
         ])
         pos, neg = ll[labels == 1], ll[labels == 0]
         if pos.size and neg.size:

@@ -309,15 +309,15 @@ class ObliqueTree:
     @classmethod
     def from_doc(cls, doc: dict) -> "ObliqueTree":
         serialize.check_header(doc, "oblique-tree")
-        comp = None
-        if doc.get("compression") is not None:
-            from .compression import CompressionState
-            comp = CompressionState.from_doc(doc["compression"])
-        return cls(
+        tree = cls(
             doc["depth"], doc["n_features"], doc["n_classes"], doc["hidden"],
             **{name: serialize.decode_array(doc[name]) for name in ARRAY_NAMES},
-            compression=comp,
         )
+        if doc.get("compression") is not None:
+            from .compression import CompressionState
+            tree.compression = CompressionState.from_doc(doc["compression"])
+            tree.compression.check_matches(tree.W1)
+        return tree
 
 
 # ---------------------------------------------------------------------------

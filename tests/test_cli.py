@@ -8,6 +8,7 @@ import pytest
 
 from peot.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from peot.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, load_container
+from peot.serialize import decode_array, encode_array
 
 
 def test_diverging_train_exits_numeric(tmp_path, capsys):
@@ -199,3 +200,65 @@ def test_idx_ingest_of_a_truncated_header_exits_data(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["type"] == "DataError" and "truncated IDX header" in error["message"]
     assert not (tmp_path / "out" / "dataset.json").exists()
+
+
+@pytest.fixture(scope="module")
+def compressed_model(seizure_dataset, peot_model, tmp_path_factory):
+    out = tmp_path_factory.mktemp("compress")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compress", "--model", str(peot_model), "--dataset", str(seizure_dataset),
+                     "--epochs", "1", "--out", str(out)]) == 0
+    return out / "model.json"
+
+
+def _prune_everything(core):
+    pruned = decode_array(core["compression"]["pruned"])
+    core["compression"]["pruned"] = encode_array(np.ones_like(pruned))
+
+
+def _flatten_mask(core):
+    pruned = decode_array(core["compression"]["pruned"])
+    core["compression"]["pruned"] = encode_array(pruned.reshape(-1))
+
+
+def _edit_assignments(edit):
+    def apply(core):
+        codebook = core["compression"]["codebook"]
+        k = decode_array(codebook["centroids"]).size
+        codebook["assignments"] = encode_array(edit(decode_array(codebook["assignments"]), k))
+    return apply
+
+
+def _move_a_survivor(core):
+    W1 = decode_array(core["W1"])
+    survivor = np.flatnonzero(~decode_array(core["compression"]["pruned"]).astype(bool))[0]
+    W1.reshape(-1)[survivor] += 1.0
+    core["W1"] = encode_array(W1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_prune_everything, "pruned W1 entries are nonzero"),
+    (_flatten_mask, "compression mask has shape"),
+    (_edit_assignments(lambda a, k: a[:-1]), "survivors"),
+    (_edit_assignments(lambda a, k: np.where(np.arange(a.size) == 0, k, a)), "integers in [0,"),
+    (_edit_assignments(lambda a, k: np.where(np.arange(a.size) == 0, -1, a)), "integers in [0,"),
+    (_move_a_survivor, "differ from their codebook centroid"),
+])
+def test_eval_of_a_contradictory_compression_state_exits_data(seizure_dataset, compressed_model,
+                                                              edit, message, tmp_path, capsys):
+    doc = json.loads(compressed_model.read_text())
+    edit(doc["core"])
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(doc))
+    code = main(["eval", "--model", str(edited), "--dataset", str(seizure_dataset),
+                 "--out", str(tmp_path / "eval")])
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "DataError" and message in error["message"]
+    assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_eval_of_an_unedited_compressed_model_exits_0(seizure_dataset, compressed_model,
+                                                      tmp_path, capsys):
+    assert main(["eval", "--model", str(compressed_model), "--dataset", str(seizure_dataset),
+                 "--out", str(tmp_path / "eval")]) == 0

@@ -6,6 +6,7 @@ from peot.errors import ConfigError, InvalidInputError
 from peot.features import (
     BAND_POWER,
     DEFAULT_COST_TABLE,
+    FIR_ORDER,
     LINE_LENGTH,
     VARIANCE,
     FeatureEntry,
@@ -18,6 +19,7 @@ from peot.features import (
     line_length,
     variance,
 )
+from peot.synth import synth_recording
 
 FS = 256.0
 
@@ -188,3 +190,92 @@ class TestFeatureSpec:
         spec = default_feature_spec(2, FS)
         again = FeatureSpec.from_doc(spec.to_doc())
         assert again.entries == spec.entries
+
+
+def _reference_features(recording, spec):
+    """Per-window, per-entry oracle written out from the kernel formulas."""
+    n = recording.n_windows
+    out = np.empty((n, spec.n_features))
+    for j, entry in enumerate(spec.entries):
+        for i in range(n):
+            x = recording.windows[i, entry.channel]
+            if entry.kind == BAND_POWER:
+                taps = design_bandpass(*entry.band, recording.fs)
+                y = np.convolve(x, taps)[FIR_ORDER:x.size]
+                out[i, j] = np.mean(y * y)
+            elif entry.kind == LINE_LENGTH:
+                out[i, j] = np.sum(np.abs(np.diff(x))) / x.size
+            else:
+                out[i, j] = np.var(x)
+    return out
+
+
+def _assert_matches_reference(rec, spec):
+    got = extract_features(rec, spec)
+    assert got.shape == (rec.n_windows, spec.n_features)
+    assert np.array_equal(got, _reference_features(rec, spec))
+
+
+class TestExtractFeaturesOracle:
+    @pytest.mark.parametrize("task", ["seizure", "tremor", "finger"])
+    def test_every_preset_matches_the_per_window_formulas(self, task):
+        rec = synth_recording(task, 100, seed=7)
+        _assert_matches_reference(rec, default_feature_spec(rec.n_channels, rec.fs))
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33])
+    def test_window_counts_around_the_block_size(self, n):
+        rec = synth_recording("seizure", 100, seed=3)
+        rec = _recording(rec.windows[:n], fs=rec.fs)
+        _assert_matches_reference(rec, default_feature_spec(rec.n_channels, rec.fs))
+
+    def test_one_band_on_a_channel_subset_interleaved_and_duplicated(self):
+        rec = _recording(np.random.default_rng(5).standard_normal((70, 4, 200)))
+        alpha, gamma = (8.0, 12.0), (30.0, 60.0)
+        spec = FeatureSpec([
+            FeatureEntry(2, BAND_POWER, alpha),
+            FeatureEntry(0, LINE_LENGTH),
+            FeatureEntry(3, BAND_POWER, alpha),
+            FeatureEntry(1, VARIANCE),
+            FeatureEntry(2, BAND_POWER, alpha),
+            FeatureEntry(1, BAND_POWER, gamma),
+            FeatureEntry(3, LINE_LENGTH),
+        ])
+        got = extract_features(rec, spec)
+        np.testing.assert_array_equal(got[:, 0], got[:, 4])
+        _assert_matches_reference(rec, spec)
+
+    def test_strided_windows_view(self):
+        base = np.random.default_rng(6).standard_normal((80, 5, 400))
+        rec = _recording(base[::2, 1::2, ::3])
+        assert not rec.windows.flags.c_contiguous
+        _assert_matches_reference(rec, default_feature_spec(rec.n_channels, rec.fs))
+
+    def test_shortest_window_band_power_accepts(self):
+        rec = _recording(np.random.default_rng(8).standard_normal((40, 2, FIR_ORDER + 1)))
+        _assert_matches_reference(rec, default_feature_spec(rec.n_channels, rec.fs))
+
+    def test_window_one_sample_too_short_raises_the_kernel_message(self):
+        short = np.zeros(FIR_ORDER)
+        with pytest.raises(InvalidInputError) as kernel:
+            band_power(short, FS, 8.0, 12.0)
+        rec = _recording(np.zeros((3, 2, FIR_ORDER)))
+        with pytest.raises(InvalidInputError) as batched:
+            extract_features(rec, default_feature_spec(2, FS))
+        assert str(batched.value) == str(kernel.value)
+        assert str(kernel.value) == "band_power needs at least 65 samples, got 64"
+
+
+class TestDesignBandpassCache:
+    def test_taps_are_read_only(self):
+        taps = design_bandpass(8.0, 12.0, FS)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0] = 1.0
+
+    def test_repeat_call_returns_the_same_array(self):
+        assert design_bandpass(4.0, 8.0, FS) is design_bandpass(4.0, 8.0, FS)
+
+    def test_bad_band_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(InvalidInputError):
+                design_bandpass(100.0, 140.0, FS)
