@@ -2,7 +2,11 @@
 
 Training is classic second-order boosting with a logistic objective and
 exact greedy split search (no histograms: datasets here are desk-scale and
-determinism matters more than asymptotics).  A cost-aware variant penalizes
+determinism matters more than asymptotics).  Each column is stable-sorted
+once per ``train_gbt`` call; a node reads its rows in every column's order
+by filtering that order, and scores all columns' splits in one array
+expression (the pre-sorted column blocks of exact greedy in XGBoost, Chen &
+Guestrin 2016).  A cost-aware variant penalizes
 the split gain by lambda * cost the first time a feature is used within the
 current tree, approximating power-efficient boosting; fixed-point
 quantization of thresholds and leaf weights produces the compressed
@@ -46,7 +50,7 @@ class GbtConfig:
             raise InvalidInputError("learning_rate must be in (0, 1]")
         if self.min_samples_leaf < 1:
             raise InvalidInputError("min_samples_leaf must be >= 1")
-        if self.reg_lambda < 0 or self.cost_lambda < 0:
+        if not (self.reg_lambda >= 0 and self.cost_lambda >= 0):  # also NaN
             raise InvalidInputError("regularization weights must be >= 0")
 
     def to_doc(self) -> dict:
@@ -170,20 +174,39 @@ class GbtEnsemble:
 # training
 
 
-class _TreeBuilder:
-    """Exact greedy depth-limited regression tree on gradient statistics."""
+def _sorted_columns(X):
+    """Each column's stable ascending row order and its sorted values, both
+    (n_features, n_samples)."""
+    order = np.argsort(X, axis=0, kind="stable").T
+    return order, np.take_along_axis(X.T, order, axis=1)
 
-    def __init__(self, X, g, h, config: GbtConfig, cost_vec=None):
+
+class _TreeBuilder:
+    """Exact greedy depth-limited regression tree on gradient statistics.
+
+    ``columns`` is ``_sorted_columns(X)``; ``train_gbt`` sorts once and
+    shares it with every tree, and the builder sorts itself without it.  A
+    node's rows in each column's order are the sorted order filtered by node
+    membership.  Node rows are ascending, so this is the order a stable
+    per-node sort of the node's values gives.
+    """
+
+    def __init__(self, X, g, h, config: GbtConfig, cost_vec=None, columns=None):
         self.X = X
         self.g = g
         self.h = h
         self.cfg = config
         self.cost_vec = cost_vec
+        self.order, self.sorted_x = _sorted_columns(X) if columns is None else columns
         self.used_features: set[int] = set()  # resets per tree
         self.feature, self.threshold = [], []
         self.left, self.right, self.value, self.depth = [], [], [], []
 
     def _best_split(self, idx):
+        """``(gain, feature, threshold, left_local)`` of the best split of
+        the ascending rows ``idx``, or None; ``left_local`` holds the left
+        rows' positions in ``idx``.  Ties go to the lowest feature, then the
+        lowest threshold."""
         cfg = self.cfg
         m = idx.size
         if m < 2 * cfg.min_samples_leaf:
@@ -191,33 +214,43 @@ class _TreeBuilder:
         g, h = self.g[idx], self.h[idx]
         G, H = g.sum(), h.sum()
         parent = G * G / (H + cfg.reg_lambda)
-        best = None  # (gain, feature, threshold, left_local_mask)
-        for j in range(self.X.shape[1]):
-            xs_col = self.X[idx, j]
-            order = np.argsort(xs_col, kind="stable")
-            xs = xs_col[order]
-            cg = np.cumsum(g[order])
-            ch = np.cumsum(h[order])
-            # candidate split after position i-1 (left size i)
-            cand = np.flatnonzero(xs[1:] > xs[:-1]) + 1
-            cand = cand[(cand >= cfg.min_samples_leaf)
-                        & (cand <= m - cfg.min_samples_leaf)]
-            if cand.size == 0:
+        member = np.zeros(self.X.shape[0], dtype=bool)
+        member[idx] = True
+        keep = member[self.order]
+        F = self.order.shape[0]
+        rows = self.order[keep].reshape(F, m)
+        xs = self.sorted_x[keep].reshape(F, m)
+        cg = np.cumsum(self.g[rows], axis=1)
+        ch = np.cumsum(self.h[rows], axis=1)
+        # the split after sorted position i leaves i + 1 rows on the left
+        GL, HL = cg[:, :-1], ch[:, :-1]
+        GR, HR = G - GL, H - HL
+        gains = 0.5 * (GL * GL / (HL + cfg.reg_lambda)
+                       + GR * GR / (HR + cfg.reg_lambda) - parent)
+        if cfg.cost_lambda > 0:
+            # the first-use penalty; subtracting 0.0 leaves a used column as is
+            cost = np.ones(F) if self.cost_vec is None else np.asarray(self.cost_vec, float)
+            penalty = cfg.cost_lambda * cost
+            penalty[list(self.used_features)] = 0.0
+            gains -= penalty[:, None]
+        n_left = np.arange(1, m)
+        cand = ((xs[:, 1:] > xs[:, :-1]) & (n_left >= cfg.min_samples_leaf)
+                & (n_left <= m - cfg.min_samples_leaf))
+        gains[~cand] = -np.inf
+        pos = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
+        col_best = gains[np.arange(F), pos]
+        best = None
+        for j in range(F):
+            if col_best[j] <= 0.0:  # also no candidate at all (-inf)
                 continue
-            GL, HL = cg[cand - 1], ch[cand - 1]
-            GR, HR = G - GL, H - HL
-            gains = 0.5 * (GL * GL / (HL + cfg.reg_lambda)
-                           + GR * GR / (HR + cfg.reg_lambda) - parent)
-            if cfg.cost_lambda > 0 and j not in self.used_features:
-                cost = 1.0 if self.cost_vec is None else float(self.cost_vec[j])
-                gains = gains - cfg.cost_lambda * cost
-            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            if gains[pos] <= 0.0:
-                continue
-            if best is None or gains[pos] > best[0]:
-                thr = 0.5 * (xs[cand[pos] - 1] + xs[cand[pos]])
-                best = (float(gains[pos]), j, float(thr), order[: cand[pos]])
-        return best
+            if best is None or col_best[j] > best[0]:
+                best = (float(col_best[j]), j)
+        if best is None:
+            return None
+        gain, j = best
+        p = pos[j]
+        thr = 0.5 * (xs[j, p] + xs[j, p + 1])
+        return gain, j, float(thr), np.searchsorted(idx, rows[j, :p + 1])
 
     def _leaf(self, idx, depth):
         w = -self.g[idx].sum() / (self.h[idx].sum() + self.cfg.reg_lambda)
@@ -286,12 +319,13 @@ def train_gbt(X, y, config: GbtConfig, cost_vec=None) -> GbtEnsemble:
         return GbtEnsemble([stump], config.learning_rate, base, X.shape[1],
                            meta={"degenerate": True})
     margin = np.full(X.shape[0], base)
+    columns = _sorted_columns(X)
     trees = []
     for _ in range(config.n_trees):
         prob = expit(margin)
         g = prob - y
         h = prob * (1.0 - prob)
-        tree = _TreeBuilder(X, g, h, config, cost_vec).tree()
+        tree = _TreeBuilder(X, g, h, config, cost_vec, columns).tree()
         trees.append(tree)
         margin += config.learning_rate * tree.leaf_values(X)
     return GbtEnsemble(trees, config.learning_rate, base, X.shape[1])

@@ -35,6 +35,13 @@ CLASS_WEIGHTS = ("balanced",)  # besides None, unweighted
 Forward = namedtuple("Forward", "Z pre H logits P q leaf_probs pi S")
 
 
+def _levels(depth):
+    """``(lo, hi)`` of each level, root first: level d holds the internal
+    nodes ``lo = 2^d - 1`` up to ``hi - 1 = 2^(d+1) - 2``, and their children
+    are the slots ``hi .. 2*hi``."""
+    return [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth)]
+
+
 def _softmax_rows(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -70,7 +77,7 @@ class TrainConfig:
             raise InvalidInputError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise InvalidInputError("learning rate must be > 0")
-        if self.lam < 0:
+        if not self.lam >= 0:  # also rejects NaN
             raise InvalidInputError("lam must be >= 0")
         if self.warmup_epochs < 0:
             raise InvalidInputError("warmup_epochs must be >= 0")
@@ -190,6 +197,14 @@ class ObliqueTree:
         return (X - self.mu) / self.sigma
 
     def forward(self, x) -> Forward:
+        """Soft routing of a batch: node activations, routing probabilities
+        ``P``, visit probabilities ``q`` over all 2n + 1 slots and the class
+        mixture ``S``.
+
+        ``q`` is filled one tree level at a time, root first: every node of
+        a level passes ``q * (1 - P)`` to its left child and ``q * P`` to its
+        right child in one array operation each.
+        """
         X, _ = self._as_batch(x)
         Z = self.standardize(X)
         n, h, F = self.W1.shape
@@ -200,9 +215,11 @@ class ObliqueTree:
         P = expit(logits)
         q = np.empty((2 * n + 1, B))
         q[0] = 1.0
-        for i in range(n):
-            q[2 * i + 1] = q[i] * (1.0 - P[i])
-            q[2 * i + 2] = q[i] * P[i]
+        left, right = q[1::2], q[2::2]  # row i: the children of node i
+        notP = 1.0 - P
+        for lo, hi in _levels(self.depth):
+            np.multiply(q[lo:hi], notP[lo:hi], out=left[lo:hi])
+            np.multiply(q[lo:hi], P[lo:hi], out=right[lo:hi])
         leaf_probs = q[n:]
         pi = _softmax_rows(self.leaf_logits)
         S = pi.T @ leaf_probs
@@ -333,10 +350,10 @@ def node_column_costs(tree: ObliqueTree, cost_vec: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(tree: ObliqueTree, fw: Forward) -> None:
-    if not np.all(np.isfinite(fw.logits)):
+    if not np.isfinite(fw.logits).all():
         bad = np.where(~np.isfinite(fw.logits).all(axis=1))[0]
         raise NumericError(f"non-finite routing logit at internal node {bad[0]}")
-    if not np.all(np.isfinite(fw.S)):
+    if not np.isfinite(fw.S).all():
         raise NumericError("non-finite class mixture in forward pass")
 
 
@@ -347,6 +364,11 @@ def _backward(tree: ObliqueTree, fw: Forward, dS=None, dq_direct=None,
     ``dS`` is the loss gradient at the soft class mixture; ``dq_direct``
     adds per-(node, sample) gradient directly on visit probabilities (used
     by the power penalty); ``w1_direct`` is added to the W1 gradient.
+
+    The visit-probability gradient runs one level at a time, deepest level
+    first: a node's is ``(1 - P) * d_left + P * d_right`` (plus
+    ``dq_direct``), and once every level is done ``dP`` is
+    ``q * (d_right - d_left)`` for all nodes at once.
     """
     n, h, F = tree.W1.shape
     B = fw.Z.shape[0]
@@ -359,14 +381,15 @@ def _backward(tree: ObliqueTree, fw: Forward, dS=None, dq_direct=None,
         dleaf = np.zeros_like(tree.leaf_logits)
     dq = np.empty_like(fw.q)
     dq[n:] = dleafp
-    dP = np.empty_like(fw.P)
-    for i in range(n - 1, -1, -1):
-        acc = (1.0 - fw.P[i]) * dq[2 * i + 1] + fw.P[i] * dq[2 * i + 2]
+    dl, dr = dq[1::2], dq[2::2]  # row i: the children of node i
+    notP = 1.0 - fw.P
+    for lo, hi in reversed(_levels(tree.depth)):
+        acc = notP[lo:hi] * dl[lo:hi] + fw.P[lo:hi] * dr[lo:hi]
         if dq_direct is not None:
-            acc = acc + dq_direct[i]
-        dq[i] = acc
-        dP[i] = fw.q[i] * (dq[2 * i + 2] - dq[2 * i + 1])
-    dlogits = dP * fw.P * (1.0 - fw.P)
+            acc += dq_direct[lo:hi]
+        dq[lo:hi] = acc
+    dP = fw.q[:n] * (dr - dl)
+    dlogits = dP * fw.P * notP
     dw2 = (dlogits[:, None, :] * fw.H).sum(axis=2)
     db2 = dlogits.sum(axis=1)
     dpre = (dlogits[:, None, :] * tree.w2[:, :, None]) * (fw.pre > 0)
@@ -575,10 +598,23 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
             return np.bincount(codebook.assignments, weights=values,
                                minlength=codebook.centroids.size)
 
-    # the optimizer updates the trained arrays and their state in place
+    # The trained arrays live in one flat vector: W1 (the centroids under a
+    # codebook), b1, w2, b2, leaf_logits.  The tree's arrays, or the
+    # codebook's centroids, are reshaped views of it, so the optimizer is one
+    # in-place update of the vector and its state.
     w1 = tree.W1 if codebook is None else codebook.centroids
     params = [w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits]
-    state = [np.zeros_like(v) for v in params]
+    theta = np.concatenate([v.ravel() for v in params])
+    ends = np.cumsum([v.size for v in params])
+    views = [part.reshape(v.shape)
+             for part, v in zip(np.split(theta, ends[:-1]), params)]
+    w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits = views
+    if codebook is None:
+        tree.W1 = w1
+    else:
+        codebook.centroids = w1
+    state = np.zeros_like(theta)
+    g = np.empty_like(theta)
 
     def epoch_loss():
         return _objective(tree, X, y, config.lam, c, config.class_weight,
@@ -595,18 +631,18 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
             _, grad, qbar = _objective(tree, X[idx], y[idx], lam, c,
                                        config.class_weight, grad=True,
                                        l1_grad=not use_prox)
-            grads = [grad[name] for name in PARAM_NAMES]
+            grads = [grad[name].ravel() for name in PARAM_NAMES]
             if codebook is not None:
-                grads[0] = per_cluster(grads[0].reshape(-1)[surv])
-            for v, g, s in zip(params, grads, state):
-                if config.optimizer == "momentum":
-                    s *= config.momentum
-                    s -= lr * g
-                    v += s
-                else:
-                    s *= 0.99
-                    s += 0.01 * g * g
-                    v -= lr * g / (np.sqrt(s) + 1e-8)
+                grads[0] = per_cluster(grads[0][surv])
+            np.concatenate(grads, out=g)
+            if config.optimizer == "momentum":
+                state *= config.momentum
+                state -= lr * g
+                theta += state
+            else:
+                state *= 0.99
+                state += 0.01 * g * g
+                theta -= lr * g / (np.sqrt(state) + 1e-8)
             if use_prox and lam > 0:
                 if codebook is None:
                     thr = lr * lam * qbar[:, None, None] * c[None, None, :]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from peot import boosting
 from peot.boosting import (
     AxisTree,
     GbtConfig,
@@ -215,3 +216,80 @@ def test_best_split_matches_brute_force():
         assert np.array_equal(np.sort(left), best[3])
         n_tied += sum(c[0] == best[0] for c in candidates) > 1
     assert n_tied > 10 and n_none > 10  # both the tie order and "no split" are exercised
+
+
+# ---------------------------------------------------------------------------
+# columns sorted once per train_gbt against a stable sort at every node
+
+
+class PerNodeSortBuilder(_TreeBuilder):
+    """The exact greedy builder with a stable argsort of every column at
+    every node, in the node's own row order."""
+
+    def _best_split(self, idx):
+        cfg = self.cfg
+        m = idx.size
+        if m < 2 * cfg.min_samples_leaf:
+            return None
+        g, h = self.g[idx], self.h[idx]
+        G, H = g.sum(), h.sum()
+        parent = G * G / (H + cfg.reg_lambda)
+        best = None
+        for j in range(self.X.shape[1]):
+            xs_col = self.X[idx, j]
+            order = np.argsort(xs_col, kind="stable")
+            xs = xs_col[order]
+            cg = np.cumsum(g[order])
+            ch = np.cumsum(h[order])
+            cand = np.flatnonzero(xs[1:] > xs[:-1]) + 1
+            cand = cand[(cand >= cfg.min_samples_leaf)
+                        & (cand <= m - cfg.min_samples_leaf)]
+            if cand.size == 0:
+                continue
+            GL, HL = cg[cand - 1], ch[cand - 1]
+            GR, HR = G - GL, H - HL
+            gains = 0.5 * (GL * GL / (HL + cfg.reg_lambda)
+                           + GR * GR / (HR + cfg.reg_lambda) - parent)
+            if cfg.cost_lambda > 0 and j not in self.used_features:
+                cost = 1.0 if self.cost_vec is None else float(self.cost_vec[j])
+                gains = gains - cfg.cost_lambda * cost
+            pos = int(np.argmax(gains))
+            if gains[pos] <= 0.0:
+                continue
+            if best is None or gains[pos] > best[0]:
+                thr = 0.5 * (xs[cand[pos] - 1] + xs[cand[pos]])
+                best = (float(gains[pos]), j, float(thr), order[: cand[pos]])
+        return best
+
+
+def tree_arrays(model):
+    return [[getattr(t, name) for name in ("feature", "threshold", "left", "right",
+                                            "value", "node_depth")]
+            for e in model.ensembles for t in e.trees]
+
+
+@pytest.mark.parametrize("trial", range(6))
+@pytest.mark.parametrize("cost_lambda", [0.0, 0.4])
+@pytest.mark.parametrize("with_costs", [False, True])
+def test_presorted_columns_build_the_per_node_sort_trees(trial, cost_lambda, with_costs,
+                                                         monkeypatch):
+    rng = np.random.default_rng(500 + trial)
+    n, F = int(rng.integers(15, 80)), int(rng.integers(1, 6))
+    # few distinct values per column, so most columns hold long runs of ties
+    X = rng.integers(0, 4, size=(n, F)).astype(np.float64)
+    X[:, -1] += np.round(rng.normal(size=n), 1) * (trial % 2)
+    y = rng.integers(0, 2 + trial % 3, size=n)  # binary and multiclass
+    cost_vec = rng.uniform(0.2, 3.0, size=F) if with_costs else None
+    for min_samples_leaf in range(1, 6):
+        cfg = GbtConfig(n_trees=3, max_depth=4, min_samples_leaf=min_samples_leaf,
+                        cost_lambda=cost_lambda)
+        got = [train_gbt_multiclass(X, y, cfg, cost_vec),
+               GbtOvR([train_gbt(X, (y == 1).astype(np.int64), cfg, cost_vec)])]
+        with monkeypatch.context() as m:
+            m.setattr(boosting, "_TreeBuilder", PerNodeSortBuilder)
+            want = [train_gbt_multiclass(X, y, cfg, cost_vec),
+                    GbtOvR([train_gbt(X, (y == 1).astype(np.int64), cfg, cost_vec)])]
+        for model, ref in zip(got, want):
+            for arrays, ref_arrays in zip(tree_arrays(model), tree_arrays(ref), strict=True):
+                for a, b in zip(arrays, ref_arrays):
+                    assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)

@@ -262,3 +262,31 @@ def test_eval_of_an_unedited_compressed_model_exits_0(seizure_dataset, compresse
                                                       tmp_path, capsys):
     assert main(["eval", "--model", str(compressed_model), "--dataset", str(seizure_dataset),
                  "--out", str(tmp_path / "eval")]) == 0
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("train", ["--model", "peot", "--epochs", "1", "--lam", "nan"], "lam"),
+    ("train", ["--model", "pegb", "--n-trees", "1", "--cost-lambda", "nan"], "regularization"),
+    ("compress", ["--epochs", "1", "--lam", "nan"], "lam"),
+])
+def test_nan_penalty_weight_exits_config(seizure_dataset, peot_model, command, args, key,
+                                         tmp_path, capsys):
+    inputs = ["--model", str(peot_model)] if command == "compress" else []
+    code = main([command, *inputs, "--dataset", str(seizure_dataset), *args,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and key in error["message"]
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
+def test_nan_lam_in_a_config_file_exits_config(seizure_dataset, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"lam": NaN, "epochs": 1}')
+    code = main(["train", "--dataset", str(seizure_dataset), "--model", "peot",
+                 "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and "lam" in error["message"]
+    assert not (tmp_path / "out" / "model.json").exists()

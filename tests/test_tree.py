@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from peot import tree as tree_mod
+from peot.cost import power_penalty_gradients
 from peot.errors import InvalidInputError, NumericError
 from peot.tree import (
     PARAM_NAMES,
@@ -402,3 +404,107 @@ class TestObjective:
         for fn in (loss_value, loss_and_gradients):
             with pytest.raises(InvalidInputError, match="cost vector"):
                 fn(tree, X, np.array([0, 1]), lam=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the level-wise routing passes against a per-node recursion
+
+
+def per_node_q(P):
+    """Visit probabilities node by node in breadth-first order."""
+    n, B = P.shape
+    q = np.empty((2 * n + 1, B))
+    q[0] = 1.0
+    for i in range(n):
+        q[2 * i + 1] = q[i] * (1.0 - P[i])
+        q[2 * i + 2] = q[i] * P[i]
+    return q
+
+
+def per_node_backward(tree, fw, dS=None, dq_direct=None, w1_direct=None):
+    """The backward pass with its routing recursion run node by node, from
+    the last internal node back to the root."""
+    n, h, F = tree.W1.shape
+    B = fw.Z.shape[0]
+    if dS is not None:
+        dleafp = fw.pi @ dS
+        dpi = fw.leaf_probs @ dS.T
+        dleaf = fw.pi * (dpi - (dpi * fw.pi).sum(axis=1, keepdims=True))
+    else:
+        dleafp = np.zeros((tree.n_leaves, B))
+        dleaf = np.zeros_like(tree.leaf_logits)
+    dq = np.empty_like(fw.q)
+    dq[n:] = dleafp
+    dP = np.empty_like(fw.P)
+    for i in range(n - 1, -1, -1):
+        acc = (1.0 - fw.P[i]) * dq[2 * i + 1] + fw.P[i] * dq[2 * i + 2]
+        if dq_direct is not None:
+            acc = acc + dq_direct[i]
+        dq[i] = acc
+        dP[i] = fw.q[i] * (dq[2 * i + 2] - dq[2 * i + 1])
+    dlogits = dP * fw.P * (1.0 - fw.P)
+    dw2 = (dlogits[:, None, :] * fw.H).sum(axis=2)
+    db2 = dlogits.sum(axis=1)
+    dpre = (dlogits[:, None, :] * tree.w2[:, :, None]) * (fw.pre > 0)
+    dW1 = (dpre.reshape(n * h, B) @ fw.Z).reshape(n, h, F)
+    db1 = dpre.sum(axis=2)
+    if w1_direct is not None:
+        dW1 = dW1 + w1_direct
+    return {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2, "leaf_logits": dleaf}
+
+
+def per_node_forward(tree, X):
+    fw = tree.forward(X)
+    q = per_node_q(fw.P)
+    n = tree.n_internal
+    return fw._replace(q=q, leaf_probs=q[n:], S=fw.pi.T @ q[n:])
+
+
+def routing_case(depth):
+    tree = random_tree(depth=depth, F=5, C=3, hidden=3, seed=300 + depth, leaf_scale=1.0)
+    rng = np.random.default_rng(400 + depth)
+    tree.b2 = rng.normal(0, 1.5, tree.n_internal)
+    X = rng.normal(size=(17, tree.n_features))
+    y = rng.integers(0, tree.n_classes, size=17)
+    c = rng.uniform(0.5, 4.0, size=tree.n_features)
+    return tree, X, y, c
+
+
+class TestLevelWiseRouting:
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_forward_q_matches_per_node_oracle(self, depth):
+        tree, X, _, _ = routing_case(depth)
+        fw, ref = tree.forward(X), per_node_forward(tree, X)
+        assert np.array_equal(fw.q, ref.q)
+        assert np.array_equal(fw.S, ref.S)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_loss_and_gradients_match_per_node_oracle(self, depth, lam, class_weight):
+        tree, X, y, c = routing_case(depth)
+        fw = per_node_forward(tree, X)
+        weights = tree_mod._sample_weights(y, tree.n_classes, class_weight)
+        ref_loss, dS = tree_mod._ce_pieces(fw, y, weights)
+        dq_direct = w1_direct = None
+        if lam > 0:  # the penalty's routing and L1 gradients join in
+            pen, _, dq_direct, w1_direct = tree_mod._penalty_pieces(
+                tree, fw, lam, c, np.full(X.shape[0], 1.0 / X.shape[0]), True)
+            ref_loss = ref_loss + lam * pen
+        ref = per_node_backward(tree, fw, dS, dq_direct, w1_direct)
+        loss, grads = loss_and_gradients(tree, X, y, lam=lam, cost_vec=c,
+                                         class_weight=class_weight)
+        assert loss == ref_loss
+        for name in PARAM_NAMES:
+            assert np.array_equal(grads[name], ref[name]), name
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_power_penalty_gradients_match_per_node_oracle(self, depth):
+        tree, X, _, c = routing_case(depth)
+        fw = per_node_forward(tree, X)
+        _, _, dq_direct, w1_direct = tree_mod._penalty_pieces(
+            tree, fw, 1.0, c, np.full(X.shape[0], 1.0 / X.shape[0]), True)
+        ref = per_node_backward(tree, fw, None, dq_direct, w1_direct)
+        grads = power_penalty_gradients(tree, X, c)
+        for name in PARAM_NAMES:
+            assert np.array_equal(grads[name], ref[name]), name
