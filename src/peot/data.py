@@ -7,6 +7,7 @@ identical data.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -230,7 +231,11 @@ CSV_TIME_COLUMN = "time"
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, float]:
-    """Read a `time,ch0,ch1,...` CSV into (n_samples, n_channels) plus fs."""
+    """Read a `time,ch0,ch1,...` CSV into (n_samples, n_channels) plus fs.
+
+    Time stamps must be finite and strictly increasing; fs is the inverse
+    of their median step.
+    """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
@@ -253,10 +258,13 @@ def read_signal_csv(path) -> tuple[np.ndarray, float]:
                     f"found {len(row)}"
                 )
             try:
-                times.append(float(row[0]))
+                time = float(row[0])
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(time):
+                raise DataError(f"{path}: line {lineno}: time stamp {row[0]!r} is not finite")
+            times.append(time)
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 sample rows")
     times = np.asarray(times)

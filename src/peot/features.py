@@ -69,11 +69,20 @@ class FeatureEntry:
         return f"ch{self.channel}:{'ll' if self.kind == LINE_LENGTH else 'var'}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureSpec:
-    """Ordered feature entries; the order defines the global feature index."""
+    """Ordered feature entries; the order defines the global feature index.
 
-    entries: list[FeatureEntry]
+    The spec is immutable: ``entries`` is stored as a tuple, whatever
+    sequence it was built from, and cannot be reassigned.  That lets the
+    spec group its columns by kernel once (``_groups``) for every
+    ``extract_features`` call that uses it.
+    """
+
+    entries: tuple[FeatureEntry, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def n_features(self) -> int:
@@ -92,6 +101,31 @@ class FeatureSpec:
                     raise InvalidInputError(
                         f"band ({lo}, {hi}) must satisfy 0 < lo < hi < fs/2 = {fs / 2}"
                     )
+
+    @functools.cached_property
+    def _groups(self) -> tuple[tuple, tuple]:
+        """The columns grouped by kernel, computed on first use.
+
+        Returns ``(scalar, bands)``: ``(column, channel, kind)`` for every
+        line-length and variance entry in column order, and
+        ``(band, columns, channels)`` per band in order of first use, with
+        read-only index arrays.
+        """
+        scalar, by_band = [], {}
+        for j, e in enumerate(self.entries):
+            if e.kind == BAND_POWER:
+                by_band.setdefault(e.band, []).append(j)
+            else:
+                scalar.append((j, e.channel, e.kind))
+        bands = []
+        for band, cols in by_band.items():
+            columns = np.array(cols, dtype=np.intp)
+            channels = np.array([self.entries[j].channel for j in cols],
+                                dtype=np.intp)
+            columns.flags.writeable = False
+            channels.flags.writeable = False
+            bands.append((band, columns, channels))
+        return tuple(scalar), tuple(bands)
 
     def labels(self) -> list[str]:
         return [e.label() for e in self.entries]
@@ -140,19 +174,29 @@ def default_feature_spec(n_channels: int, fs: float,
 
 
 def line_length(samples) -> float:
-    """Mean absolute first difference, (1/d) * sum |x[n] - x[n-1]|."""
+    """Mean absolute first difference, (1/d) * sum |x[n] - x[n-1]|.
+
+    It runs the steps of ``np.sum(np.abs(np.diff(x))) / x.size`` without
+    their Python wrappers, so the value is bit-identical to that expression.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise InvalidInputError("line_length needs a 1-D window of >= 2 samples")
-    return float(np.sum(np.abs(np.diff(x))) / x.size)
+    return float(np.abs(x[1:] - x[:-1]).sum() / x.size)
 
 
 def variance(samples) -> float:
-    """Population variance of the window."""
+    """Population variance of the window.
+
+    It runs ``np.var``'s own steps (sum, divide, subtract, square, sum,
+    divide) without its Python wrappers, so the value is bit-identical to
+    ``np.var(x)``.
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise InvalidInputError("variance needs a 1-D window of >= 2 samples")
-    return float(np.var(x))
+    d = x - x.sum() / x.size
+    return float((d * d).sum() / x.size)
 
 
 @functools.lru_cache
@@ -192,12 +236,13 @@ def _band_powers(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
     One convolution runs over the rows laid end to end.  Each kept output
     is the same full-overlap dot product a per-row convolution computes;
     outputs that mix two rows fall in the ``order`` warm-up samples of the
-    later row, which are dropped.
+    later row, which are dropped.  The mean over the kept outputs runs
+    ``np.mean``'s own sum and divide, so it is bit-identical to it.
     """
     n, size = rows.shape
     order = taps.size - 1
     y = np.convolve(rows.ravel(), taps)[: n * size].reshape(n, size)[:, order:]
-    return np.mean(y * y, axis=1)
+    return (y * y).sum(axis=1) / (size - order)
 
 
 def band_power(samples, fs: float, lo: float, hi: float,
@@ -218,32 +263,30 @@ def band_power(samples, fs: float, lo: float, hi: float,
 def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
     """Feature matrix: one row per window, one column per spec entry.
 
+    Line length and variance call their kernel once per window and column.
     Band power runs one band at a time over blocks of windows; every value
-    equals what ``band_power`` gives for that window.
+    equals what ``band_power`` gives for that window.  The grouping of the
+    columns by kernel is the spec's, computed once per spec.
     """
     spec.validate_for(recording.n_channels, recording.fs)
     windows = recording.windows
     n, _, size = windows.shape
     out = np.empty((n, spec.n_features), dtype=np.float64)
-    bands: dict[tuple, list[int]] = {}
-    for j, entry in enumerate(spec.entries):
-        if entry.kind == BAND_POWER:
-            bands.setdefault(entry.band, []).append(j)
-            continue
-        kernel = line_length if entry.kind == LINE_LENGTH else variance
-        channel = windows[:, entry.channel, :]
+    scalar, bands = spec._groups
+    for j, ch, kind in scalar:
+        kernel = line_length if kind == LINE_LENGTH else variance
+        channel = windows[:, ch, :]
         for i in range(n):
             out[i, j] = kernel(channel[i])
     if bands and n:
         _check_band_power_length(size, FIR_ORDER)
-    for band, cols in bands.items():
+    for band, cols, channels in bands:
         taps = design_bandpass(*band, recording.fs)
-        channels = [spec.entries[j].channel for j in cols]
         for start in range(0, n, _BLOCK_WINDOWS):
             block = windows[start:start + _BLOCK_WINDOWS, channels, :]
             m = block.shape[0]
             powers = _band_powers(block.reshape(-1, size), taps)
-            out[start:start + m, cols] = powers.reshape(m, len(cols))
+            out[start:start + m, cols] = powers.reshape(m, cols.size)
     return out
 
 

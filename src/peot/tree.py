@@ -256,16 +256,24 @@ class ObliqueTree:
         Returns ``(path, leaf)``: the internal node visited at each level,
         shape (B, depth), and the reached leaf index, shape (B,).  Only the
         visited nodes are evaluated.
+
+        Each level groups its rows by node (the nonzero bins of
+        ``np.bincount``, in ascending node order) and evaluates each node
+        on its rows.  When all rows sit at one node, as at the root and
+        always for B=1, that node takes all rows as they are, with no mask.
+        Those rows are made C-contiguous first, as a mask's copy would be:
+        BLAS may sum a Fortran-ordered operand in another order.
         """
         X, _ = self._as_batch(x)
-        Z = self.standardize(X)
+        Z = np.ascontiguousarray(self.standardize(X))
         path = np.empty((Z.shape[0], self.depth), dtype=np.int64)
         node = np.zeros(Z.shape[0], dtype=np.int64)
         for level in range(self.depth):
             path[:, level] = node
             nxt = np.empty_like(node)
-            for u in np.unique(node):
-                sel = node == u
+            nodes = np.flatnonzero(np.bincount(node))
+            for u in nodes:
+                sel = node == u if nodes.size > 1 else slice(None)
                 hid = np.maximum(Z[sel] @ self.W1[u].T + self.b1[u], 0.0)
                 logit = hid @ self.w2[u] + self.b2[u]
                 nxt[sel] = 2 * u + 1 + (logit > 0.0)

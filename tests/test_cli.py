@@ -172,6 +172,26 @@ def test_csv_ingest_of_windows_too_short_for_band_power_exits_config(tmp_path, c
     assert not (tmp_path / "out" / "dataset.json").exists()
 
 
+
+@pytest.mark.parametrize("row, stamp", [(700, "nan"), (1999, "inf"), (0, "-inf")])
+def test_csv_ingest_of_a_non_finite_time_stamp_exits_data(tmp_path, capsys, row, stamp):
+    rng = np.random.default_rng(0)
+    signal = tmp_path / "signal.csv"
+    with open(signal, "w") as fh:
+        fh.write("time,ch0,ch1\n")
+        for t, sample in enumerate(rng.normal(size=(2000, 2))):
+            fh.write(f"{stamp if t == row else t / 128.0},{sample[0]},{sample[1]}\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("window_index,label\n" + "".join(f"{i},{i % 2}\n" for i in range(15)))
+    code = main(["ingest", "--format", "csv", "--signal", str(signal),
+                 "--labels-csv", str(labels), "--window-len", "128",
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["type"] == "DataError"
+    assert f"line {row + 2}" in error["message"] and "not finite" in error["message"]
+    assert not (tmp_path / "out" / "dataset.json").exists()
+
 def write_idx(tmp_path, images, labels):
     n, rows, cols = images.shape
     image_path, label_path = tmp_path / "images.idx", tmp_path / "labels.idx"

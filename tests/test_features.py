@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -279,3 +281,70 @@ class TestDesignBandpassCache:
         for _ in range(3):
             with pytest.raises(InvalidInputError):
                 design_bandpass(100.0, 140.0, FS)
+
+
+def _kernel_inputs(lengths, seed):
+    """Windows of the given lengths at offsets up to +-1e6 and scales from
+    1e-6 to 1e6, each as a float array, a strided view, a negative-stride
+    view and an int list."""
+    rng = np.random.default_rng(seed)
+    for L in lengths:
+        scale = 10.0 ** rng.uniform(-6, 6)
+        offset = rng.choice([0.0, rng.uniform(-1e6, 1e6), 1e6, -1e6])
+        base = rng.standard_normal(3 * L) * scale + offset
+        yield base[:L]
+        yield base[::3]
+        yield base[L - 1::-1]
+        yield rng.integers(-1000, 1000, size=L).tolist()
+
+
+class TestKernelsBitIdenticalToNumpy:
+    """Called directly, each kernel equals its NumPy expression with ``==``."""
+
+    LENGTHS = [*range(2, 70), *range(70, 601, 23), 600]
+
+    def test_line_length(self):
+        for samples in _kernel_inputs(self.LENGTHS, seed=11):
+            x = np.asarray(samples, dtype=np.float64)
+            assert line_length(samples) == np.sum(np.abs(np.diff(x))) / x.size
+
+    def test_variance(self):
+        for samples in _kernel_inputs(self.LENGTHS, seed=12):
+            x = np.asarray(samples, dtype=np.float64)
+            assert variance(samples) == np.var(x)
+
+    @pytest.mark.parametrize("band", [(1.0, 4.0), (8.0, 12.0), (60.0, 100.0)])
+    def test_band_power(self, band):
+        taps = design_bandpass(*band, FS)
+        lengths = [L for L in self.LENGTHS if L >= FIR_ORDER + 1]
+        for samples in _kernel_inputs(lengths, seed=13):
+            x = np.asarray(samples, dtype=np.float64)
+            y = np.convolve(x, taps)[FIR_ORDER:x.size]
+            assert band_power(samples, FS, *band) == np.mean(y * y)
+
+
+class TestFeatureSpecGrouping:
+    def test_list_and_tuple_build_equal_specs(self):
+        entries = default_feature_spec(3, FS).entries
+        from_list, from_tuple = FeatureSpec(list(entries)), FeatureSpec(tuple(entries))
+        assert isinstance(from_list.entries, tuple)
+        assert from_list == from_tuple
+        assert from_list.to_doc() == from_tuple.to_doc()
+        rec = synth_recording("seizure", 100, seed=2)
+        spec_list = FeatureSpec(list(default_feature_spec(rec.n_channels, rec.fs).entries))
+        spec_tuple = FeatureSpec(tuple(spec_list.entries))
+        assert np.array_equal(extract_features(rec, spec_list),
+                              extract_features(rec, spec_tuple))
+
+    def test_entries_cannot_be_reassigned(self):
+        spec = default_feature_spec(2, FS)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.entries = ()
+
+    def test_grouping_is_computed_once(self):
+        spec = default_feature_spec(2, FS)
+        assert spec._groups is spec._groups
+        rec = _recording(np.random.default_rng(9).standard_normal((3, 2, 128)))
+        groups = spec._groups
+        extract_features(rec, spec)
+        assert spec._groups is groups

@@ -508,3 +508,83 @@ class TestLevelWiseRouting:
         grads = power_penalty_gradients(tree, X, c)
         for name in PARAM_NAMES:
             assert np.array_equal(grads[name], ref[name]), name
+
+
+def unique_grouped_route(tree, X):
+    """``ObliqueTree.route`` as it grouped rows before: ``np.unique`` over the
+    level's nodes and a boolean mask per node, also when one node holds
+    every row."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[None, :]
+    Z = tree.standardize(X)
+    path = np.empty((Z.shape[0], tree.depth), dtype=np.int64)
+    node = np.zeros(Z.shape[0], dtype=np.int64)
+    for level in range(tree.depth):
+        path[:, level] = node
+        nxt = np.empty_like(node)
+        for u in np.unique(node):
+            sel = node == u
+            hid = np.maximum(Z[sel] @ tree.W1[u].T + tree.b1[u], 0.0)
+            logit = hid @ tree.w2[u] + tree.b2[u]
+            nxt[sel] = 2 * u + 1 + (logit > 0.0)
+        node = nxt
+    return path, node - tree.n_internal
+
+
+def grouping_case(depth, b2_mode):
+    """A random tree with a fitted standardisation; ``b2_mode`` "spread"
+    splits the rows, "left" and "right" send every row one way at every
+    node, so each level holds one node."""
+    rng = np.random.default_rng(500 + depth)
+    tree = ObliqueTree.random(depth, 7, 3, hidden=4, rng=rng,
+                              mu=rng.normal(size=7), sigma=rng.uniform(0.5, 2.0, 7))
+    tree.b2 = {"spread": rng.normal(0, 0.5, tree.n_internal),
+               "left": np.full(tree.n_internal, -1e6),
+               "right": np.full(tree.n_internal, 1e6)}[b2_mode]
+    return tree, rng
+
+
+class TestRouteGrouping:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("B", [0, 1, 2, 60])
+    @pytest.mark.parametrize("b2_mode", ["spread", "left", "right"])
+    def test_matches_unique_grouped_route(self, depth, B, b2_mode):
+        tree, rng = grouping_case(depth, b2_mode)
+        X = rng.normal(0, 3, size=(B, tree.n_features)) * 10.0 ** rng.integers(-3, 4, 7)
+        path, leaf = tree.route(X)
+        ref_path, ref_leaf = unique_grouped_route(tree, X)
+        assert np.array_equal(path, ref_path) and np.array_equal(leaf, ref_leaf)
+        if b2_mode != "spread" and B:
+            expected = 0 if b2_mode == "left" else tree.n_leaves - 1
+            assert (leaf == expected).all()
+
+    @pytest.mark.parametrize("b2_mode", ["spread", "right"])
+    def test_matches_on_any_memory_layout(self, b2_mode):
+        # a Fortran-ordered batch standardises to a Fortran-ordered Z, whose
+        # rows BLAS may sum in another order than a mask's C-ordered copy
+        tree, rng = grouping_case(4, b2_mode)
+        X = rng.normal(0, 3, size=(121, 2 * tree.n_features))
+        for view in (np.asfortranarray(X[:, ::2]), X[::-2, 1::2], X[:60:3, :7],
+                     X[5, ::2], X[7, ::2].tolist()):
+            path, leaf = tree.route(view)
+            ref_path, ref_leaf = unique_grouped_route(tree, view)
+            assert np.array_equal(path, ref_path) and np.array_equal(leaf, ref_leaf)
+
+    def test_a_tie_on_a_fortran_ordered_batch_goes_left(self):
+        # one node holds every row; b2 makes row k's logit exactly 0 when its
+        # product is summed as for a C-ordered copy, while the same product
+        # over the Fortran-ordered batch rounds higher (when BLAS sums it in
+        # another order), so routing that batch as it is would send k right
+        rng = np.random.default_rng(9)
+        X = np.asfortranarray(rng.normal(size=(40, 13)))
+        tree = ObliqueTree(1, 13, 2, 1, rng.normal(size=(1, 1, 13)), np.zeros((1, 1)),
+                           np.ones((1, 1)), [0.0], np.eye(2))
+        c_order = (np.ascontiguousarray(X) @ tree.W1[0].T)[:, 0]
+        f_order = (X @ tree.W1[0].T)[:, 0]
+        k = int(np.argmax(np.where(c_order > 0, f_order - c_order, -np.inf)))
+        tree.b2 = np.array([-c_order[k]])
+        path, leaf = tree.route(X)
+        ref_path, ref_leaf = unique_grouped_route(tree, X)
+        assert ref_leaf[k] == 0
+        assert np.array_equal(path, ref_path) and np.array_equal(leaf, ref_leaf)
