@@ -50,8 +50,8 @@ class GbtConfig:
             raise InvalidInputError("learning_rate must be in (0, 1]")
         if self.min_samples_leaf < 1:
             raise InvalidInputError("min_samples_leaf must be >= 1")
-        if not (self.reg_lambda >= 0 and self.cost_lambda >= 0):  # also NaN
-            raise InvalidInputError("regularization weights must be >= 0")
+        if not (0 <= self.reg_lambda < np.inf and 0 <= self.cost_lambda < np.inf):  # also NaN
+            raise InvalidInputError("regularization weights must be finite and >= 0")
 
     def to_doc(self) -> dict:
         return asdict(self)

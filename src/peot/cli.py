@@ -495,7 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peot",
         description="Power-efficient oblique trees: train, compress, evaluate.",
-        epilog="--seed defaults to $PEOT_SEED, else 0.",
+        epilog="--seed defaults to $PEOT_SEED, else 0.  Running with "
+               "OPENBLAS_NUM_THREADS=1 is recommended: every matrix product "
+               "is small, so extra BLAS threads mostly spin (a depth-8 train "
+               "took about twice the CPU time with the default thread count).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # the cmd_* names are looked up on each call, so a wrapper installed on

@@ -11,6 +11,7 @@ the full-tree index space has 2n + 1 slots; the children of internal node i
 sit at 2i + 1 and 2i + 2, and leaf l occupies full-tree slot n + l.
 """
 
+import functools
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 
@@ -35,17 +36,28 @@ CLASS_WEIGHTS = ("balanced",)  # besides None, unweighted
 Forward = namedtuple("Forward", "Z pre H logits P q leaf_probs pi S")
 
 
+@functools.lru_cache(maxsize=16)
 def _levels(depth):
     """``(lo, hi)`` of each level, root first: level d holds the internal
     nodes ``lo = 2^d - 1`` up to ``hi - 1 = 2^(d+1) - 2``, and their children
     are the slots ``hi .. 2*hi``."""
-    return [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth)]
+    return tuple((2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth))
+
+
+@functools.lru_cache(maxsize=16)
+def _batch_constants(B):
+    """``np.arange(B)`` and the uniform weights ``np.full(B, 1 / B)``,
+    read-only.  A training run asks for at most three sizes: the batch, a
+    ragged last batch and the full set of its epoch loss."""
+    cols, uniform = np.arange(B), np.full(B, 1.0 / B)
+    cols.flags.writeable = uniform.flags.writeable = False
+    return cols, uniform
 
 
 def _softmax_rows(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 @dataclass
@@ -75,10 +87,10 @@ class TrainConfig:
             raise InvalidInputError("epochs must be >= 1")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidInputError("learning rate must be > 0")
-        if not self.lam >= 0:  # also rejects NaN
-            raise InvalidInputError("lam must be >= 0")
+        if not 0 < self.learning_rate < np.inf:  # also rejects NaN
+            raise InvalidInputError("learning rate must be finite and > 0")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidInputError("lam must be finite and >= 0")
         if self.warmup_epochs < 0:
             raise InvalidInputError("warmup_epochs must be >= 0")
         if self.optimizer not in OPTIMIZERS:
@@ -211,7 +223,7 @@ class ObliqueTree:
         B = Z.shape[0]
         pre = (self.W1.reshape(n * h, F) @ Z.T).reshape(n, h, B) + self.b1[:, :, None]
         H = np.maximum(pre, 0.0)
-        logits = (H * self.w2[:, :, None]).sum(axis=1) + self.b2[:, None]
+        logits = np.add.reduce(H * self.w2[:, :, None], axis=1) + self.b2[:, None]
         P = expit(logits)
         q = np.empty((2 * n + 1, B))
         q[0] = 1.0
@@ -354,24 +366,28 @@ def node_column_costs(tree: ObliqueTree, cost_vec: np.ndarray) -> np.ndarray:
     c = np.asarray(cost_vec, dtype=np.float64)
     if c.shape != (tree.n_features,):
         raise InvalidInputError("cost vector length must equal feature count")
-    return np.abs(tree.W1).sum(axis=1) @ c
+    return np.add.reduce(np.abs(tree.W1), axis=1) @ c
 
 
 def _check_finite(tree: ObliqueTree, fw: Forward) -> None:
-    if not np.isfinite(fw.logits).all():
-        bad = np.where(~np.isfinite(fw.logits).all(axis=1))[0]
+    finite = np.isfinite(fw.logits)
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = np.flatnonzero(~np.logical_and.reduce(finite, axis=1))
         raise NumericError(f"non-finite routing logit at internal node {bad[0]}")
-    if not np.isfinite(fw.S).all():
+    if not np.logical_and.reduce(np.isfinite(fw.S), axis=None):
         raise NumericError("non-finite class mixture in forward pass")
 
 
-def _backward(tree: ObliqueTree, fw: Forward, dS=None, dq_direct=None,
-              w1_direct=None) -> dict:
-    """Exact backprop through routing products and node networks.
+def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
+              out: dict) -> None:
+    """Exact backprop through routing products and node networks, written
+    into ``out``: one array per name of ``PARAM_NAMES``, shaped like the
+    parameter.
 
-    ``dS`` is the loss gradient at the soft class mixture; ``dq_direct``
-    adds per-(node, sample) gradient directly on visit probabilities (used
-    by the power penalty); ``w1_direct`` is added to the W1 gradient.
+    ``dS`` is the loss gradient at the soft class mixture, or None;
+    ``dq_direct`` adds per-(node, sample) gradient directly on visit
+    probabilities (used by the power penalty); ``w1_direct`` is added to the
+    W1 gradient.
 
     The visit-probability gradient runs one level at a time, deepest level
     first: a node's is ``(1 - P) * d_left + P * d_right`` (plus
@@ -380,32 +396,32 @@ def _backward(tree: ObliqueTree, fw: Forward, dS=None, dq_direct=None,
     """
     n, h, F = tree.W1.shape
     B = fw.Z.shape[0]
+    dq = np.empty(fw.q.shape)
     if dS is not None:
-        dleafp = fw.pi @ dS
+        np.matmul(fw.pi, dS, out=dq[n:])
         dpi = fw.leaf_probs @ dS.T
-        dleaf = fw.pi * (dpi - (dpi * fw.pi).sum(axis=1, keepdims=True))
+        np.multiply(fw.pi, dpi - np.add.reduce(dpi * fw.pi, axis=1, keepdims=True),
+                    out=out["leaf_logits"])
     else:
-        dleafp = np.zeros((tree.n_leaves, B))
-        dleaf = np.zeros_like(tree.leaf_logits)
-    dq = np.empty_like(fw.q)
-    dq[n:] = dleafp
+        dq[n:] = 0.0
+        out["leaf_logits"][...] = 0.0
     dl, dr = dq[1::2], dq[2::2]  # row i: the children of node i
     notP = 1.0 - fw.P
     for lo, hi in reversed(_levels(tree.depth)):
-        acc = notP[lo:hi] * dl[lo:hi] + fw.P[lo:hi] * dr[lo:hi]
+        acc = np.multiply(notP[lo:hi], dl[lo:hi], out=dq[lo:hi])
+        acc += fw.P[lo:hi] * dr[lo:hi]
         if dq_direct is not None:
             acc += dq_direct[lo:hi]
-        dq[lo:hi] = acc
     dP = fw.q[:n] * (dr - dl)
     dlogits = dP * fw.P * notP
-    dw2 = (dlogits[:, None, :] * fw.H).sum(axis=2)
-    db2 = dlogits.sum(axis=1)
+    np.add.reduce(dlogits[:, None, :] * fw.H, axis=2, out=out["w2"])
+    np.add.reduce(dlogits, axis=1, out=out["b2"])
     dpre = (dlogits[:, None, :] * tree.w2[:, :, None]) * (fw.pre > 0)
-    dW1 = (dpre.reshape(n * h, B) @ fw.Z).reshape(n, h, F)
-    db1 = dpre.sum(axis=2)
+    dW1 = out["W1"]
+    np.matmul(dpre.reshape(n * h, B), fw.Z, out=dW1.reshape(n * h, F))
+    np.add.reduce(dpre, axis=2, out=out["b1"])
     if w1_direct is not None:
-        dW1 = dW1 + w1_direct
-    return {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2, "leaf_logits": dleaf}
+        dW1 += w1_direct
 
 
 def _class_weights(y, n_classes, mode):
@@ -418,35 +434,43 @@ def _class_weights(y, n_classes, mode):
 
 def _sample_weights(y, n_classes, class_weight):
     """Per-sample CE weights, normalized to sum to 1."""
-    B = y.size
     cw = _class_weights(y, n_classes, class_weight)
     if cw is None:
-        return np.full(B, 1.0 / B)
+        return _batch_constants(y.size)[1]
     w = cw[y]
-    return w / w.sum()
+    return w / np.add.reduce(w)
 
 
-def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray):
-    B = y.size
-    sy = fw.S[y, np.arange(B)]
+def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray,
+               value=True, grad=True):
+    """``(loss, dS)``: the weighted cross-entropy and its gradient at the
+    class mixture; each is None when not asked for."""
+    cols = _batch_constants(y.size)[0]
+    sy = fw.S[y, cols]
     clamped = np.maximum(sy, LOG_CLAMP)
-    loss = float(-(weights * np.log(clamped)).sum())
-    dS = np.zeros_like(fw.S)
-    dS[y, np.arange(B)] = np.where(sy > LOG_CLAMP, -weights / clamped, 0.0)
+    loss = dS = None
+    if value:
+        loss = float(-(weights * np.log(clamped)).sum())
+    if grad:
+        dS = np.zeros(fw.S.shape)
+        dS[y, cols] = np.where(sy > LOG_CLAMP, -weights / clamped, 0.0)
     return loss, dS
 
 
-def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad):
-    """Penalty value, mean internal-node visit probabilities and the
-    penalty's gradient injections for the backward engine."""
+def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad,
+                    value=True):
+    """Penalty value (None unless ``value``), mean internal-node visit
+    probabilities and the penalty's gradient injections for the backward
+    engine."""
     c = np.asarray(cost_vec, dtype=np.float64)
     r = node_column_costs(tree, c)
     qbar = fw.q[: tree.n_internal] @ sample_weights
-    dq_direct = lam * np.outer(r, sample_weights)
+    dq_direct = np.multiply(r[:, None], sample_weights)  # np.outer(r, w)
+    dq_direct *= lam
     w1_direct = None
     if l1_grad:
         w1_direct = (lam * qbar)[:, None, None] * np.sign(tree.W1) * c[None, None, :]
-    return float(r @ qbar), qbar, dq_direct, w1_direct
+    return float(r @ qbar) if value else None, qbar, dq_direct, w1_direct
 
 
 def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
@@ -463,31 +487,45 @@ def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
     return X, y
 
 
-def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True):
+def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
+               out=None):
     """The objective on an already validated, nonempty batch.
 
     Weighted cross-entropy of the soft prediction plus ``lam`` times the
     batch-mean power penalty; ``y=None`` leaves the penalty alone.  Returns
-    ``(loss, grads, qbar)``: the exact gradients of every parameter when
-    ``grad`` is set, else None, and the mean visit probability of each
-    internal node when ``lam > 0``, else None.  ``l1_grad=False`` leaves
-    the penalty's L1 term out of the W1 gradient (training applies it as a
-    proximal step instead).
+    ``(loss, grads, qbar)``, where ``qbar`` is the mean visit probability of
+    each internal node when ``lam > 0``, else None.  Three modes:
+
+    - ``grad=False``: the loss only; ``grads`` is None.
+    - ``grad=True``: the loss and the exact gradient of every parameter,
+      ``grads`` a dict of fresh arrays keyed by ``PARAM_NAMES``.
+    - ``grad=True, out=grads``: training's step.  No loss is computed
+      (``loss`` is None) and the gradients are written into the given dict
+      of arrays, each shaped like its parameter, which is returned.
+
+    ``l1_grad=False`` leaves the penalty's L1 term out of the W1 gradient
+    (training applies it as a proximal step instead).
     """
     fw = tree.forward(X)
     _check_finite(tree, fw)
+    value = out is None
+    if grad and out is None:
+        out = {name: np.empty(getattr(tree, name).shape) for name in PARAM_NAMES}
     loss, dS = 0.0, None
     if y is not None:
         wce = _sample_weights(y, tree.n_classes, class_weight)
-        loss, dS = _ce_pieces(fw, y, wce)
+        loss, dS = _ce_pieces(fw, y, wce, value, grad)
     dq_direct = w1_direct = qbar = None
     if lam > 0:
-        B = X.shape[0]
         pen, qbar, dq_direct, w1_direct = _penalty_pieces(
-            tree, fw, lam, cost_vec, np.full(B, 1.0 / B), grad and l1_grad)
-        loss = loss + lam * pen
-    grads = _backward(tree, fw, dS, dq_direct, w1_direct) if grad else None
-    return loss, grads, qbar
+            tree, fw, lam, cost_vec, _batch_constants(X.shape[0])[1],
+            grad and l1_grad, value)
+        if value:
+            loss = loss + lam * pen
+    if not grad:
+        return loss, None, qbar
+    _backward(tree, fw, dS, dq_direct, w1_direct, out)
+    return loss if value else None, out, qbar
 
 
 def loss_value(tree, X, y, lam=0.0, cost_vec=None, class_weight=None) -> float:
@@ -513,7 +551,9 @@ def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
 
 
 def _soft_threshold(values, thresholds):
-    return np.sign(values) * np.maximum(np.abs(values) - thresholds, 0.0)
+    """Shrink ``values`` towards 0 by ``thresholds``, in place."""
+    np.multiply(np.sign(values), np.maximum(np.abs(values) - thresholds, 0.0),
+                out=values)
 
 
 def _check_divergence(tree: ObliqueTree, epoch: int) -> None:
@@ -558,6 +598,12 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     subgradient (``l1_mode="subgradient"``).  Returns the trained tree with
     a per-epoch full-data loss trace in ``tree.history``.
 
+    Each minibatch step runs ``_objective`` in its step mode: one
+    ``ObliqueTree.forward``, the finiteness check, no loss value (only the
+    epoch loss is kept), and the gradients written straight into reshaped
+    views of one flat gradient vector laid out like the parameters, so the
+    optimizer updates the parameter vector in place.
+
     A warm start trains a copy of ``init_tree`` under the first-layer
     constraint of its ``compression`` state, if any.  Pruned weights are
     reset to exactly 0 after every step.  With a codebook the centroids are
@@ -600,7 +646,8 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         # survivors by flat (node, row, column) index, with node and feature
         surv = np.flatnonzero(~comp.pruned)
         h, F = tree.W1.shape[1:]
-        surv_node, surv_feat = surv // (h * F), surv % F
+        surv_node = surv // (h * F)
+        surv_cost = None if c is None else c[surv % F]
 
         def per_cluster(values):
             return np.bincount(codebook.assignments, weights=values,
@@ -609,20 +656,28 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     # The trained arrays live in one flat vector: W1 (the centroids under a
     # codebook), b1, w2, b2, leaf_logits.  The tree's arrays, or the
     # codebook's centroids, are reshaped views of it, so the optimizer is one
-    # in-place update of the vector and its state.
+    # in-place update of the vector and its state.  The step's gradients are
+    # written straight into the same views of the gradient vector ``g``;
+    # under a codebook the W1 gradient goes to a scratch array first and is
+    # summed per cluster into the centroids' part.
     w1 = tree.W1 if codebook is None else codebook.centroids
     params = [w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits]
+    splits = np.cumsum([v.size for v in params])[:-1]
+
+    def views(vec):
+        return [part.reshape(v.shape) for part, v in zip(np.split(vec, splits), params)]
+
     theta = np.concatenate([v.ravel() for v in params])
-    ends = np.cumsum([v.size for v in params])
-    views = [part.reshape(v.shape)
-             for part, v in zip(np.split(theta, ends[:-1]), params)]
-    w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits = views
+    w1, tree.b1, tree.w2, tree.b2, tree.leaf_logits = views(theta)
     if codebook is None:
         tree.W1 = w1
     else:
         codebook.centroids = w1
     state = np.zeros_like(theta)
     g = np.empty_like(theta)
+    grads = dict(zip(PARAM_NAMES, views(g)))
+    if codebook is not None:
+        g_centroids, grads["W1"] = grads["W1"], np.empty(tree.W1.shape)
 
     def epoch_loss():
         return _objective(tree, X, y, config.lam, c, config.class_weight,
@@ -636,13 +691,10 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         perm = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            _, grad, qbar = _objective(tree, X[idx], y[idx], lam, c,
-                                       config.class_weight, grad=True,
-                                       l1_grad=not use_prox)
-            grads = [grad[name].ravel() for name in PARAM_NAMES]
+            qbar = _objective(tree, X[idx], y[idx], lam, c, config.class_weight,
+                              grad=True, l1_grad=not use_prox, out=grads)[2]
             if codebook is not None:
-                grads[0] = per_cluster(grads[0][surv])
-            np.concatenate(grads, out=g)
+                g_centroids[...] = per_cluster(grads["W1"].ravel()[surv])
             if config.optimizer == "momentum":
                 state *= config.momentum
                 state -= lr * g
@@ -655,8 +707,8 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
                 if codebook is None:
                     thr = lr * lam * qbar[:, None, None] * c[None, None, :]
                 else:
-                    thr = lr * lam * per_cluster(qbar[surv_node] * c[surv_feat])
-                w1[...] = _soft_threshold(w1, thr)
+                    thr = lr * lam * per_cluster(qbar[surv_node] * surv_cost)
+                _soft_threshold(w1, thr)
             if comp is not None:
                 tree.W1[comp.pruned] = 0.0
                 if codebook is not None:

@@ -293,3 +293,10 @@ def test_presorted_columns_build_the_per_node_sort_trees(trial, cost_lambda, wit
             for arrays, ref_arrays in zip(tree_arrays(model), tree_arrays(ref), strict=True):
                 for a, b in zip(arrays, ref_arrays):
                     assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("field", ["reg_lambda", "cost_lambda"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_rejected_by_gbt_config(field, value):
+    with pytest.raises(InvalidInputError, match="finite"):
+        GbtConfig(**{field: value}).validate()

@@ -310,3 +310,27 @@ def test_nan_lam_in_a_config_file_exits_config(seizure_dataset, tmp_path, capsys
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "config" and "lam" in error["message"]
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("train", ["--model", "peot", "--epochs", "1", "--lam", "inf"], "lam"),
+    ("train", ["--model", "peot", "--epochs", "1", "--learning-rate", "inf"], "learning rate"),
+    ("train", ["--model", "pegb", "--n-trees", "1", "--cost-lambda", "inf"], "regularization"),
+    ("compress", ["--epochs", "1", "--lam", "inf"], "lam"),
+])
+def test_infinite_weight_exits_config(seizure_dataset, peot_model, command, args, key,
+                                      tmp_path, capsys):
+    inputs = ["--model", str(peot_model)] if command == "compress" else []
+    code = main([command, *inputs, "--dataset", str(seizure_dataset), *args,
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and key in error["message"]
+    assert not (tmp_path / "model.json").exists()
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
+def test_top_level_help_recommends_one_blas_thread(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "OPENBLAS_NUM_THREADS=1" in capsys.readouterr().out

@@ -588,3 +588,10 @@ class TestRouteGrouping:
         ref_path, ref_leaf = unique_grouped_route(tree, X)
         assert ref_leaf[k] == 0
         assert np.array_equal(path, ref_path) and np.array_equal(leaf, ref_leaf)
+
+
+@pytest.mark.parametrize("field", ["lam", "learning_rate"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_rejected_by_train_config(field, value):
+    with pytest.raises(InvalidInputError, match="finite"):
+        TrainConfig(**{field: value}).validate()
