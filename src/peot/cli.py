@@ -244,6 +244,29 @@ def _load_featurized(path, resolved, stored=None):
     return container, X, y, c, pipeline
 
 
+def _rows(container, idx):
+    """The container cut down to the rows ``idx``."""
+    if isinstance(container, data.Recording):
+        return data.Recording(windows=container.windows[idx], fs=container.fs,
+                              labels=container.labels[idx], meta=container.meta)
+    return data.Dataset(X=container.X[idx], y=container.y[idx],
+                        feature_names=container.feature_names, meta=container.meta)
+
+
+def _stored_test_indices(train_doc, n: int) -> np.ndarray:
+    """A model document's ``train.test_indices``: unique integers in [0, n)."""
+    stored = train_doc.get("test_indices", [])
+    if not isinstance(stored, list):
+        raise DataError("model train.test_indices must be a list of row indices")
+    for i in stored:
+        if type(i) is not int or not 0 <= i < n:
+            raise DataError(f"model train.test_indices holds {i!r}, "
+                            f"not a row index in [0, {n})")
+    if len(set(stored)) != len(stored):
+        raise DataError("model train.test_indices repeats a row index")
+    return np.asarray(stored, dtype=np.int64)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -381,7 +404,7 @@ def cmd_compress(args):
     lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
     ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
                      lam=lam, seed=resolved["seed"])
-    te = np.asarray(train_doc.get("test_indices", []), dtype=np.int64)
+    te = _stored_test_indices(train_doc, X.shape[0])
     mask = np.ones(X.shape[0], dtype=bool)
     mask[te] = False
     model_c, report = compression.compress_pipeline(
@@ -411,15 +434,19 @@ def cmd_eval(args):
     if not resolved["model"] or not resolved["dataset"]:
         raise ConfigError("--model and --dataset are required")
     doc, model = _load_model_doc(resolved["model"])
-    container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved,
-                                             doc["pipeline"])
+    container = data.load_container(resolved["dataset"])
+    y = container.labels if isinstance(container, data.Recording) else container.y
     n_classes = int(doc["train"].get("n_classes", int(y.max()) + 1))
-    same_data = container.fingerprint() == doc["train"]["dataset_fingerprint"]
-    te = np.asarray(doc["train"].get("test_indices", []), dtype=np.int64)
-    if same_data and te.size:
-        X_eval, y_eval, split = X[te], y[te], "stored-test-fold"
+    te = None
+    if container.fingerprint() == doc["train"]["dataset_fingerprint"]:
+        te = _stored_test_indices(doc["train"], y.size)
+    if te is not None and te.size:
+        # only the stored test fold is scored, so only it is featurised
+        X_eval, y_eval, c, _ = _featurize(_rows(container, te), resolved, doc["pipeline"])
+        split = "stored-test-fold"
     else:
-        X_eval, y_eval, split = X, y, "full-dataset"
+        X_eval, y_eval, c, _ = _featurize(container, resolved, doc["pipeline"])
+        split = "full-dataset"
     if isinstance(model, tree_mod.ObliqueTree):
         labels = model.predict(X_eval)
         extra = {

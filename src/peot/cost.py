@@ -54,6 +54,8 @@ def deployed_power(tree: ObliqueTree, X, cost_vec,
     c = np.asarray(cost_vec, dtype=np.float64)
     if c.shape != (tree.n_features,):
         raise InvalidInputError("cost vector length must equal feature count")
-    reads = np.abs(tree.W1).sum(axis=1) > prune_threshold  # (n_internal, F)
+    reads = np.add.reduce(np.abs(tree.W1), axis=1) > prune_threshold  # (n_internal, F)
     path, _ = tree.route(X)
-    return float((reads[path].any(axis=1) @ c).mean())
+    # ``any`` and ``mean`` as their own ufunc steps, without their wrappers
+    per_sample = np.logical_or.reduce(reads[path], axis=1) @ c
+    return float(np.add.reduce(per_sample) / per_sample.size)

@@ -46,7 +46,7 @@ class Recording:
             raise InvalidInputError("windows must hold at least 2 samples")
         if not self.fs > 0:
             raise InvalidInputError("sampling rate must be positive")
-        if not np.all(np.isfinite(self.windows)):
+        if not np.isfinite(self.windows).all():
             raise DataError("recording contains non-finite samples")
         _check_labels(self.labels)
 

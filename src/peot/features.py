@@ -23,8 +23,9 @@ FEATURE_KINDS = (LINE_LENGTH, VARIANCE, BAND_POWER)
 # windowed-sinc design, Hamming window; order 64 => 65 taps
 FIR_ORDER = 64
 
-# windows per band-power convolution in extract_features: bounds the
-# temporary arrays, so featurising a whole recording does not raise peak memory
+# a band-power block in extract_features squares no more outputs than the
+# widest band over this many windows: bounds the temporary arrays, so
+# featurising a whole recording does not raise peak memory
 _BLOCK_WINDOWS = 32
 
 # Relative per-feature extraction cost.  Only the ordering (line-length
@@ -40,6 +41,12 @@ DEFAULT_BANDS = (
     (30.0, 60.0),
     (60.0, 100.0),
 )
+
+
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=np.intp)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -75,7 +82,8 @@ class FeatureSpec:
 
     The spec is immutable: ``entries`` is stored as a tuple, whatever
     sequence it was built from, and cannot be reassigned.  That lets the
-    spec group its columns by kernel once (``_groups``) for every
+    spec group its columns by kernel once (``_groups``) and summarise what
+    ``validate_for`` checks once (``_limits``), for every
     ``extract_features`` call that uses it.
     """
 
@@ -89,6 +97,10 @@ class FeatureSpec:
         return len(self.entries)
 
     def validate_for(self, n_channels: int, fs: float) -> None:
+        top_channel, bands_ordered, top_hi = self._limits
+        if top_channel < n_channels and bands_ordered and top_hi < fs / 2.0:
+            return
+        # name the first offending entry
         for entry in self.entries:
             if entry.channel >= n_channels:
                 raise InvalidInputError(
@@ -103,13 +115,33 @@ class FeatureSpec:
                     )
 
     @functools.cached_property
-    def _groups(self) -> tuple[tuple, tuple]:
+    def _limits(self) -> tuple[int, bool, float]:
+        """``(largest channel, every band has 0 < lo < hi, largest hi)``:
+        the spec fits a recording iff its channel count exceeds the first
+        and fs/2 exceeds the last, given the second."""
+        bands = [e.band for e in self.entries if e.kind == BAND_POWER]
+        return (max((e.channel for e in self.entries), default=-1),
+                all(0.0 < lo < hi for lo, hi in bands),
+                max((hi for _, hi in bands), default=-np.inf))
+
+    @functools.cached_property
+    def _groups(self) -> tuple:
         """The columns grouped by kernel, computed on first use.
 
-        Returns ``(scalar, bands)``: ``(column, channel, kind)`` for every
-        line-length and variance entry in column order, and
-        ``(band, columns, channels)`` per band in order of first use, with
-        read-only index arrays.
+        Returns ``(scalar, channels, bands, columns, per_block)``:
+
+        * ``scalar``: ``(column, channel, kind)`` for every line-length and
+          variance entry, in column order;
+        * ``channels``: every band-power channel, in order of first use;
+        * ``bands``: ``(band, rows)`` per band, in order of first use, where
+          ``rows`` are the band's channels as positions in ``channels``, or
+          None when they are ``channels`` itself;
+        * ``columns``: the band-power columns, band by band;
+        * ``per_block``: windows per band-power block, so that the squared
+          outputs of all bands take no more room than those of the widest
+          band over ``_BLOCK_WINDOWS`` windows.
+
+        The index arrays are read-only.
         """
         scalar, by_band = [], {}
         for j, e in enumerate(self.entries):
@@ -117,15 +149,18 @@ class FeatureSpec:
                 by_band.setdefault(e.band, []).append(j)
             else:
                 scalar.append((j, e.channel, e.kind))
+        channels = list(dict.fromkeys(self.entries[j].channel
+                                      for cols in by_band.values() for j in cols))
         bands = []
         for band, cols in by_band.items():
-            columns = np.array(cols, dtype=np.intp)
-            channels = np.array([self.entries[j].channel for j in cols],
-                                dtype=np.intp)
-            columns.flags.writeable = False
-            channels.flags.writeable = False
-            bands.append((band, columns, channels))
-        return tuple(scalar), tuple(bands)
+            rows = [channels.index(self.entries[j].channel) for j in cols]
+            bands.append((band, None if rows == list(range(len(channels)))
+                          else _read_only(rows)))
+        columns = [j for cols in by_band.values() for j in cols]
+        widest = max(map(len, by_band.values()), default=0)
+        per_block = max(1, _BLOCK_WINDOWS * widest // max(len(columns), 1))
+        return (tuple(scalar), _read_only(channels), tuple(bands),
+                _read_only(columns), per_block)
 
     def labels(self) -> list[str]:
         return [e.label() for e in self.entries]
@@ -230,19 +265,35 @@ def _check_band_power_length(size: int, order: int) -> None:
         )
 
 
-def _band_powers(rows: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Band power of each row of an (n, L) array, L >= len(taps), n >= 1.
+def _band_powers(block: np.ndarray, bands) -> np.ndarray:
+    """Band powers of an (m, c, L) block of windows, m >= 1.
 
-    One convolution runs over the rows laid end to end.  Each kept output
-    is the same full-overlap dot product a per-row convolution computes;
-    outputs that mix two rows fall in the ``order`` warm-up samples of the
-    later row, which are dropped.  The mean over the kept outputs runs
-    ``np.mean``'s own sum and divide, so it is bit-identical to it.
+    ``bands`` holds ``(taps, rows)`` per band, all taps of one length with
+    L >= len(taps): the band's taps and its channels as positions in the
+    block, or None for every channel in order.  Returns an (m, k) array,
+    the bands' channels side by side in the order given.
+
+    Each band runs one full-overlap ("valid") convolution over its rows
+    laid end to end.  Each kept output is the same full-overlap dot product
+    a per-row convolution computes: row r's kept outputs start at output
+    ``r * L``.  The outputs in between mix two rows; they stand where the
+    ``order`` warm-up samples of the later row would, and are dropped.  The
+    kept outputs of every band are squared into one buffer, and its means
+    run ``np.mean``'s own sum and divide, so each is bit-identical to it.
     """
-    n, size = rows.shape
-    order = taps.size - 1
-    y = np.convolve(rows.ravel(), taps)[: n * size].reshape(n, size)[:, order:]
-    return (y * y).sum(axis=1) / (size - order)
+    m, _, size = block.shape
+    width = size - (bands[0][0].size - 1)
+    parts = [block if rows is None else block[:, rows, :] for _, rows in bands]
+    squares = np.empty((m, sum(x.shape[1] for x in parts), width))
+    col = 0
+    for (taps, _), x in zip(bands, parts):
+        k = x.shape[1]
+        y = np.convolve(x.ravel(), taps, "valid")
+        s = y.itemsize
+        y = np.ndarray((m, k, width), y.dtype, y, 0, (k * size * s, size * s, s))
+        np.multiply(y, y, out=squares[:, col:col + k])
+        col += k
+    return squares.sum(axis=2) / width
 
 
 def band_power(samples, fs: float, lo: float, hi: float,
@@ -257,14 +308,16 @@ def band_power(samples, fs: float, lo: float, hi: float,
     if x.ndim != 1:
         raise InvalidInputError("band_power needs a 1-D window")
     _check_band_power_length(x.size, order)
-    return float(_band_powers(x[None, :], design_bandpass(lo, hi, fs, order))[0])
+    taps = design_bandpass(lo, hi, fs, order)
+    return float(_band_powers(x[None, None, :], [(taps, None)])[0, 0])
 
 
 def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
     """Feature matrix: one row per window, one column per spec entry.
 
     Line length and variance call their kernel once per window and column.
-    Band power runs one band at a time over blocks of windows; every value
+    Band power runs over blocks of windows: each block gathers the
+    band-power channels once and runs every band on them; every value
     equals what ``band_power`` gives for that window.  The grouping of the
     columns by kernel is the spec's, computed once per spec.
     """
@@ -272,21 +325,19 @@ def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
     windows = recording.windows
     n, _, size = windows.shape
     out = np.empty((n, spec.n_features), dtype=np.float64)
-    scalar, bands = spec._groups
+    scalar, channels, bands, columns, per_block = spec._groups
     for j, ch, kind in scalar:
         kernel = line_length if kind == LINE_LENGTH else variance
         channel = windows[:, ch, :]
         for i in range(n):
             out[i, j] = kernel(channel[i])
-    if bands and n:
-        _check_band_power_length(size, FIR_ORDER)
-    for band, cols, channels in bands:
-        taps = design_bandpass(*band, recording.fs)
-        for start in range(0, n, _BLOCK_WINDOWS):
-            block = windows[start:start + _BLOCK_WINDOWS, channels, :]
-            m = block.shape[0]
-            powers = _band_powers(block.reshape(-1, size), taps)
-            out[start:start + m, cols] = powers.reshape(m, cols.size)
+    if not bands or not n:
+        return out
+    _check_band_power_length(size, FIR_ORDER)
+    taps = [(design_bandpass(*band, recording.fs), rows) for band, rows in bands]
+    for start in range(0, n, per_block):
+        block = windows[start:start + per_block, channels, :]
+        out[start:start + block.shape[0], columns] = _band_powers(block, taps)
     return out
 
 

@@ -271,14 +271,23 @@ class ObliqueTree:
 
         Each level groups its rows by node (the nonzero bins of
         ``np.bincount``, in ascending node order) and evaluates each node
-        on its rows.  When all rows sit at one node, as at the root and
-        always for B=1, that node takes all rows as they are, with no mask.
-        Those rows are made C-contiguous first, as a mask's copy would be:
-        BLAS may sum a Fortran-ordered operand in another order.
+        on its rows.  When all rows sit at one node, as at the root, that
+        node takes all rows as they are, with no mask.  Those rows are made
+        C-contiguous first, as a mask's copy would be: BLAS may sum a
+        Fortran-ordered operand in another order.  A single row skips the
+        grouping and runs the same product on the same row at each level.
         """
         X, _ = self._as_batch(x)
         Z = np.ascontiguousarray(self.standardize(X))
         path = np.empty((Z.shape[0], self.depth), dtype=np.int64)
+        if Z.shape[0] == 1:
+            u = 0
+            for level in range(self.depth):
+                path[0, level] = u
+                hid = np.maximum(Z @ self.W1[u].T + self.b1[u], 0.0)
+                logit = hid @ self.w2[u] + self.b2[u]
+                u = 2 * u + 1 + int(logit[0] > 0.0)
+            return path, np.array([u - self.n_internal], dtype=np.int64)
         node = np.zeros(Z.shape[0], dtype=np.int64)
         for level in range(self.depth):
             path[:, level] = node

@@ -348,3 +348,95 @@ class TestFeatureSpecGrouping:
         groups = spec._groups
         extract_features(rec, spec)
         assert spec._groups is groups
+
+
+class TestOneWindowExtraction:
+    """B=1, as in the deployment loop: each window featurised on its own."""
+
+    @pytest.mark.parametrize("task", ["seizure", "tremor", "finger"])
+    def test_every_preset(self, task):
+        rec = synth_recording(task, 100, seed=8)
+        spec = default_feature_spec(rec.n_channels, rec.fs)
+        for i in range(0, rec.n_windows, 9):
+            _assert_matches_reference(_recording(rec.windows[i:i + 1], fs=rec.fs), spec)
+
+    def test_bands_on_channel_subsets_interleaved_and_duplicated(self):
+        rec = _recording(np.random.default_rng(15).standard_normal((6, 5, 150)))
+        spec = FeatureSpec([
+            FeatureEntry(3, BAND_POWER, (8.0, 12.0)),
+            FeatureEntry(0, VARIANCE),
+            FeatureEntry(1, BAND_POWER, (30.0, 60.0)),
+            FeatureEntry(3, BAND_POWER, (30.0, 60.0)),
+            FeatureEntry(1, BAND_POWER, (8.0, 12.0)),
+            FeatureEntry(3, BAND_POWER, (8.0, 12.0)),
+            FeatureEntry(4, LINE_LENGTH),
+            FeatureEntry(0, BAND_POWER, (1.0, 4.0)),
+            FeatureEntry(1, BAND_POWER, (30.0, 60.0)),
+        ])
+        for i in range(rec.n_windows):
+            one = _recording(rec.windows[i:i + 1])
+            _assert_matches_reference(one, spec)
+            row = extract_features(one, spec)[0]
+            assert row[0] == row[5] and row[2] == row[8]
+        _assert_matches_reference(rec, spec)
+
+    def test_spec_without_band_entries(self):
+        rec = _recording(np.random.default_rng(16).standard_normal((4, 3, 40)))
+        spec = FeatureSpec([FeatureEntry(2, VARIANCE), FeatureEntry(0, LINE_LENGTH)])
+        for i in range(rec.n_windows):
+            _assert_matches_reference(_recording(rec.windows[i:i + 1]), spec)
+
+
+class TestValidateFor:
+    def test_first_out_of_range_channel_is_named(self):
+        spec = FeatureSpec([FeatureEntry(0, LINE_LENGTH),
+                            FeatureEntry(1, BAND_POWER, (8.0, 12.0)),
+                            FeatureEntry(5, VARIANCE), FeatureEntry(7, LINE_LENGTH)])
+        spec.validate_for(8, FS)
+        with pytest.raises(InvalidInputError) as err:
+            spec.validate_for(4, FS)
+        assert str(err.value) == "feature entry addresses channel 5, recording has 4"
+
+    def test_first_band_at_or_above_nyquist_is_named(self):
+        spec = FeatureSpec([FeatureEntry(0, BAND_POWER, (1.0, 4.0)),
+                            FeatureEntry(0, BAND_POWER, (60.0, 100.0)),
+                            FeatureEntry(3, VARIANCE),
+                            FeatureEntry(0, BAND_POWER, (100.0, 120.0))])
+        with pytest.raises(InvalidInputError) as err:
+            spec.validate_for(2, 200.0)
+        assert str(err.value) == ("band (60.0, 100.0) must satisfy "
+                                  "0 < lo < hi < fs/2 = 100.0")
+        at_nyquist = FeatureSpec(spec.entries[:3])
+        with pytest.raises(InvalidInputError) as err:
+            at_nyquist.validate_for(4, 200.0)
+        assert "band (60.0, 100.0)" in str(err.value)
+
+    def test_bands_out_of_order_fail_at_any_fs(self):
+        spec = FeatureSpec([FeatureEntry(0, BAND_POWER, (12.0, 8.0))])
+        for fs in (FS, 1e6):
+            with pytest.raises(InvalidInputError, match=r"band \(12.0, 8.0\)"):
+                spec.validate_for(1, fs)
+
+    def test_a_spec_that_passed_still_fails_at_a_lower_fs_and_fewer_channels(self):
+        spec = default_feature_spec(4, FS)
+        spec.validate_for(4, FS)
+        with pytest.raises(InvalidInputError, match=r"band \(60.0, 100.0\)"):
+            spec.validate_for(4, 150.0)
+        with pytest.raises(InvalidInputError, match="channel 3, recording has 3"):
+            spec.validate_for(3, FS)
+        spec.validate_for(4, FS)
+        with pytest.raises(InvalidInputError):
+            extract_features(_recording(np.zeros((2, 4, 128)), fs=150.0), spec)
+
+    def test_a_spec_that_failed_passes_at_a_higher_fs(self):
+        spec = FeatureSpec([FeatureEntry(1, BAND_POWER, (60.0, 100.0))])
+        with pytest.raises(InvalidInputError):
+            spec.validate_for(2, 150.0)
+        spec.validate_for(2, FS)
+        spec.validate_for(2, np.float64(FS))
+
+    @pytest.mark.parametrize("fs", [np.nan, -FS])
+    def test_non_positive_or_nan_fs_fails_with_bands(self, fs):
+        spec = default_feature_spec(1, FS)
+        with pytest.raises(InvalidInputError, match="band"):
+            spec.validate_for(1, fs)

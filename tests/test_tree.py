@@ -595,3 +595,50 @@ class TestRouteGrouping:
 def test_non_finite_weight_rejected_by_train_config(field, value):
     with pytest.raises(InvalidInputError, match="finite"):
         TrainConfig(**{field: value}).validate()
+
+
+class TestRouteOneRow:
+    """A single row skips the grouping; it must route as the batch does."""
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("b2_mode", ["spread", "left", "right"])
+    def test_each_row_alone_matches_the_batch_and_the_grouped_oracle(self, depth, b2_mode):
+        tree, rng = grouping_case(depth, b2_mode)
+        X = rng.normal(0, 3, size=(40, tree.n_features)) * 10.0 ** rng.integers(-3, 4, 7)
+        path, leaf = tree.route(X)
+        ref_path, ref_leaf = unique_grouped_route(tree, X)
+        for i in range(X.shape[0]):
+            one_path, one_leaf = tree.route(X[i:i + 1])
+            assert one_path.dtype == path.dtype and one_leaf.dtype == leaf.dtype
+            assert np.array_equal(one_path, path[i:i + 1])
+            assert np.array_equal(one_path, ref_path[i:i + 1])
+            assert np.array_equal(one_leaf, leaf[i:i + 1])
+            assert np.array_equal(one_leaf, ref_leaf[i:i + 1])
+
+    def test_strided_fortran_and_one_d_rows(self):
+        tree, rng = grouping_case(5, "spread")
+        X = rng.normal(0, 3, size=(30, 2 * tree.n_features))
+        batch = np.ascontiguousarray(X[:, ::2])
+        path, leaf = tree.route(batch)
+        for i in range(X.shape[0]):
+            for row in (X[i:i + 1, ::2], np.asfortranarray(X[i:i + 1, ::2]),
+                        X[i, ::2], X[i, ::2].tolist(), X[i:i + 1, -2::-2][:, ::-1]):
+                one_path, one_leaf = tree.route(row)
+                assert np.array_equal(one_path, path[i:i + 1])
+                assert np.array_equal(one_leaf, leaf[i:i + 1])
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_a_logit_of_exactly_zero_goes_left(self, depth):
+        rng = np.random.default_rng(21)
+        tree = ObliqueTree.random(depth, 6, 2, hidden=3, rng=rng)
+        x = rng.normal(size=(1, 6))
+        hid = np.maximum(x @ tree.W1[0].T + tree.b1[0], 0.0)
+        while not hid.any():
+            x = rng.normal(size=(1, 6))
+            hid = np.maximum(x @ tree.W1[0].T + tree.b1[0], 0.0)
+        tree.b2[0] = -(hid @ tree.w2[0])[0]
+        path, leaf = tree.route(x)
+        ref_path, ref_leaf = unique_grouped_route(tree, x)
+        assert (path[0, 1] == 1) if depth > 1 else (leaf[0] == 0)  # root sent it left
+        assert np.array_equal(path, ref_path) and np.array_equal(leaf, ref_leaf)
+        assert tree.predict_single_path(x[0])[1] == path[0].tolist()
