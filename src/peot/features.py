@@ -116,9 +116,10 @@ class FeatureSpec:
 
     @functools.cached_property
     def _limits(self) -> tuple[int, bool, float]:
-        """``(largest channel, every band has 0 < lo < hi, largest hi)``:
-        the spec fits a recording iff its channel count exceeds the first
-        and fs/2 exceeds the last, given the second."""
+        """``(largest channel, every band has 0 < lo < hi, largest hi)``.
+
+        A recording fits the spec iff it has more channels than the first,
+        the second holds and its fs/2 exceeds the third."""
         bands = [e.band for e in self.entries if e.kind == BAND_POWER]
         return (max((e.channel for e in self.entries), default=-1),
                 all(0.0 < lo < hi for lo, hi in bands),
@@ -132,7 +133,7 @@ class FeatureSpec:
 
         * ``scalar``: ``(column, channel, kind)`` for every line-length and
           variance entry, in column order;
-        * ``channels``: every band-power channel, in order of first use;
+        * ``channels``: every band-power channel once, band by band;
         * ``bands``: ``(band, rows)`` per band, in order of first use, where
           ``rows`` are the band's channels as positions in ``channels``, or
           None when they are ``channels`` itself;
