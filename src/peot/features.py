@@ -136,7 +136,8 @@ class FeatureSpec:
         * ``channels``: every band-power channel once, band by band;
         * ``bands``: ``(band, rows)`` per band, in order of first use, where
           ``rows`` are the band's channels as positions in ``channels``, or
-          None when they are ``channels`` itself;
+          None when they are ``channels`` itself, which the kernel then
+          reads as it is, without an indexing copy or view;
         * ``columns``: the band-power columns, band by band;
         * ``per_block``: windows per band-power block, so that the squared
           outputs of all bands take no more room than those of the widest

@@ -57,8 +57,8 @@ def test_summary_flags_a_digest_mismatch():
     assert "digests equal: no" in pairs.summarize(pairs.run_pairs(2, run))
 
 
-@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_worktree_is_removed_when_the_block_raises(tmp_path):
+def _git_repo(tmp_path):
+    """A throwaway repo with one commit of ``f.txt``, and its git command."""
     repo = tmp_path / "repo"
     repo.mkdir()
     git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
@@ -66,6 +66,12 @@ def test_worktree_is_removed_when_the_block_raises(tmp_path):
     (repo / "f.txt").write_text("parent\n")
     subprocess.run([*git, "add", "f.txt"], check=True)
     subprocess.run([*git, "commit", "-qm", "parent"], check=True)
+    return repo, git
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_worktree_is_removed_when_the_block_raises(tmp_path):
+    repo, git = _git_repo(tmp_path)
     seen = []
     with pytest.raises(RuntimeError):
         with pairs.parent_checkout("HEAD", repo) as checkout:
@@ -76,3 +82,23 @@ def test_worktree_is_removed_when_the_block_raises(tmp_path):
     listed = subprocess.run([*git, "worktree", "list"], check=True,
                             capture_output=True, text=True).stdout
     assert len(listed.strip().splitlines()) == 1
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_parent_equal_to_a_clean_head_is_refused(tmp_path):
+    repo, git = _git_repo(tmp_path)
+    with pytest.raises(SystemExit, match="compare the change with itself"):
+        pairs.check_differs("HEAD", repo)
+    (repo / "f.txt").write_text("change\n")
+    pairs.check_differs("HEAD", repo)
+    subprocess.run([*git, "commit", "-qam", "change"], check=True)
+    pairs.check_differs("HEAD~1", repo)
+    with pytest.raises(SystemExit):
+        pairs.check_differs("HEAD", repo)
+
+
+def test_parent_is_required_and_run_length_is_not_an_option():
+    with pytest.raises(SystemExit):
+        pairs.main(["--workload", "stream-seizure"])
+    with pytest.raises(SystemExit):
+        pairs.main(["--workload", "stream-seizure", "--parent", "HEAD~1", "--seconds", "1"])

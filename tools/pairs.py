@@ -1,12 +1,15 @@
 """Alternating parent/change pairs of gated benchmark runs.
 
-    python3 tools/pairs.py --workload stream-seizure --seed 7 --pairs 10 --parent HEAD
+    python3 tools/pairs.py --workload stream-seizure --seed 7 --pairs 10 --parent HEAD~1
 
 Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once on
 the working tree (the change) and once on a ``git worktree`` of the parent
-rev, checked out in a temporary directory.  Even pairs run the parent first,
-odd pairs the change, so neither side always meets the host in the same
-phase; the runs go one at a time, never two benchmark processes at once.
+rev, checked out in a temporary directory.  Every run lasts the
+``run_seconds`` that ``BENCHMARK.json`` sets.  Even pairs run the parent
+first, odd pairs the change, so neither side always meets the host in the
+same phase; the runs go one at a time, never two benchmark processes at
+once.  A parent rev that is the HEAD of a clean working tree is refused,
+since the change would be compared with itself.
 
 It prints each pair's ``setup_s``, ``body_s`` and ``peak_rss_mb`` (parent /
 change), then the medians, the number of pairs the change wins (lower is
@@ -105,20 +108,32 @@ def parent_checkout(rev: str, repo: Path = ROOT):
         subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
 
 
+def check_differs(rev: str, repo: Path = ROOT) -> None:
+    """Fail when the working tree is clean and ``rev`` is its HEAD."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=repo, check=True,
+                              capture_output=True, text=True).stdout.strip()
+    if git("rev-parse", f"{rev}^{{commit}}") == git("rev-parse", "HEAD") \
+            and not git("status", "--porcelain"):
+        raise SystemExit(f"--parent {rev} is the clean working tree's HEAD; "
+                         "the pairs would compare the change with itself")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--parent", default="HEAD", help="git rev to compare against")
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--parent", required=True, help="git rev to compare against")
     args = parser.parse_args(argv)
+    check_differs(args.parent)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     # SIGTERM unwinds like Ctrl-C, so the worktree is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with parent_checkout(args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
         pairs = run_pairs(args.pairs, {
-            side: lambda path=path: run_bench(path, args.workload, args.seed, args.seconds)
+            side: lambda path=path: run_bench(path, args.workload, args.seed, seconds)
             for side, path in checkouts.items()})
     print("\n".join(summarize(pairs)))
     return 0
