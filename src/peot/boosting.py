@@ -86,25 +86,19 @@ class AxisTree:
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
-    @property
-    def depth(self) -> int:
-        return int(self.node_depth.max())
-
     def walk(self, X, used=None) -> np.ndarray:
         """Route samples to leaf node indices; optionally mark used features."""
         X = np.asarray(X, dtype=np.float64)
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
-            active = self.feature[node] >= 0
-            if not active.any():
+            at = np.flatnonzero(self.feature[node] >= 0)
+            if not at.size:
                 return node
-            for u in np.unique(node[active]):
-                sel = node == u
-                f = self.feature[u]
-                if used is not None:
-                    used[sel, f] = True
-                goright = X[sel, f] > self.threshold[u]
-                node[sel] = np.where(goright, self.right[u], self.left[u])
+            u = node[at]
+            f = self.feature[u]
+            if used is not None:
+                used[at, f] = True
+            node[at] = np.where(X[at, f] > self.threshold[u], self.right[u], self.left[u])
 
     def leaf_values(self, X) -> np.ndarray:
         return self.value[self.walk(X)]

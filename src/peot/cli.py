@@ -1,11 +1,14 @@
 """Command-line interface: ingest, synth, train, compress, eval, sweep, report.
 
-Every option is declared once, in ``OPTIONS``.  Each command resolves its
-options as defaults <- JSON config file <- flags, then writes the fully
-resolved config (seed included) next to its outputs, so any artifact can be
-reproduced from its own directory.  Config-file values get the same type
-and choice checks as flags.  Exit codes: 0 success, 2 config error, 3 data
-error, 4 numeric failure.
+Every option is declared once, in ``OPTIONS``.  ``main`` frames every
+command: it resolves the options as defaults <- JSON config file <- flags,
+creates ``--out``, checks the inputs ``REQUIRED`` names, runs
+``cmd_<name>(resolved, out)`` and only then writes the fully resolved config
+(seed included) next to its outputs, so any artifact can be reproduced from
+its own directory.  Config-file values get the same type and choice checks
+as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
+which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
+codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
 """
 
 import argparse
@@ -124,6 +127,10 @@ OPTIONS = {
     },
 }
 
+# the inputs a command cannot run without, checked after resolution
+REQUIRED = {"train": ("dataset",), "compress": ("model", "dataset"),
+            "eval": ("model", "dataset"), "sweep": ("dataset",), "report": ("dataset",)}
+
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicitly passed flags.
@@ -170,20 +177,10 @@ def _train_config(resolved) -> TrainConfig:
                           if f.name in resolved})
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _write_resolved(out: Path, command: str, resolved: dict):
-    _write_json({"command": command, **resolved}, out / "resolved_config.json")
 
 
 def _number_list(text: str, kind=float) -> list:
@@ -253,8 +250,13 @@ def _rows(container, idx):
                         feature_names=container.feature_names, meta=container.meta)
 
 
-def _stored_test_indices(train_doc, n: int) -> np.ndarray:
-    """A model document's ``train.test_indices``: unique integers in [0, n)."""
+def _stored_test_indices(train_doc, container) -> np.ndarray:
+    """The model's held-out rows: on the dataset it was trained on (equal
+    fingerprints) its ``train.test_indices``, which must be unique integers
+    in [0, n); on any other dataset, whose rows they do not name, none."""
+    if container.fingerprint() != train_doc["dataset_fingerprint"]:
+        return np.asarray([], dtype=np.int64)
+    n = len(container.labels if isinstance(container, data.Recording) else container.y)
     stored = train_doc.get("test_indices", [])
     if not isinstance(stored, list):
         raise DataError("model train.test_indices must be a list of row indices")
@@ -271,9 +273,7 @@ def _stored_test_indices(train_doc, n: int) -> np.ndarray:
 # commands
 
 
-def cmd_ingest(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
+def cmd_ingest(resolved, out):
     fmt = resolved["format"]
     if fmt == "idx":
         if not resolved["images"] or not resolved["labels"]:
@@ -293,21 +293,15 @@ def cmd_ingest(args):
     else:
         raise ConfigError("--format must be idx or csv")
     data.save_container(container, out / "dataset.json")
-    _write_resolved(out, "ingest", resolved)
     print(f"wrote {out / 'dataset.json'} fingerprint={container.fingerprint()[:16]}")
-    return 0
 
 
-def cmd_synth(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
+def cmd_synth(resolved, out):
     rec = synth.synth_recording(resolved["task"], resolved["n_windows"],
                                 resolved["seed"])
     data.save_container(rec, out / "dataset.json")
     _write_json(rec.meta, out / "note.json")
-    _write_resolved(out, "synth", resolved)
     print(f"wrote {out / 'dataset.json'} note={rec.meta}")
-    return 0
 
 
 def _holdout_split(n, fraction, seed):
@@ -316,16 +310,10 @@ def _holdout_split(n, fraction, seed):
     perm = rng.permutation(n)
     n_test = int(round(n * fraction))
     n_test = min(max(n_test, 1), n - 1) if fraction > 0 else 0
-    if n_test == 0:
-        return perm, np.asarray([], dtype=np.int64)
-    return perm[:-n_test], perm[-n_test:]
+    return perm[:n - n_test], perm[n - n_test:]
 
 
-def cmd_train(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
-    if not resolved["dataset"]:
-        raise ConfigError("--dataset is required")
+def cmd_train(resolved, out):
     holdout = resolved["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ConfigError(f"--holdout must lie in [0, 1), got {holdout}")
@@ -377,10 +365,8 @@ def cmd_train(args):
         metrics["test"] = compute_metrics(y[te_idx], predict(X[te_idx]),
                                           n_classes).to_doc()
     _write_json(metrics, out / "metrics.json")
-    _write_resolved(out, "train", resolved)
     print(f"wrote {out / 'model.json'}"
           + (f" test_f1={metrics['test']['f1']:.4f}" if te_idx.size else ""))
-    return 0
 
 
 def _load_model_doc(path):
@@ -389,22 +375,17 @@ def _load_model_doc(path):
     return doc, serialize.model_from_doc(doc["core"])
 
 
-def cmd_compress(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
-    if not resolved["model"] or not resolved["dataset"]:
-        raise ConfigError("--model and --dataset are required")
+def cmd_compress(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     if not isinstance(model, tree_mod.ObliqueTree):
         raise ConfigError("compress applies to oblique-tree models")
-    _, X, y, c, _ = _load_featurized(resolved["dataset"], resolved, doc["pipeline"])
-    train_doc = doc["train"]
-    cfg = TrainConfig.from_doc(train_doc["config"]) if "depth" in train_doc["config"] \
-        else TrainConfig()
+    container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved,
+                                             doc["pipeline"])
+    cfg = TrainConfig.from_doc(doc["train"]["config"])
     lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
     ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
                      lam=lam, seed=resolved["seed"])
-    te = _stored_test_indices(train_doc, X.shape[0])
+    te = _stored_test_indices(doc["train"], container)
     mask = np.ones(X.shape[0], dtype=bool)
     mask[te] = False
     model_c, report = compression.compress_pipeline(
@@ -415,6 +396,7 @@ def cmd_compress(args):
         y_eval=y[te] if te.size else None,
         cost_vec=c if lam > 0 else None,
     )
+    report["split"] = "stored-test-fold" if te.size else "full-dataset"
     new_doc = dict(doc)
     new_doc["core"] = model_c.to_doc()
     new_doc["compressed"] = {"sparsity": resolved["sparsity"],
@@ -422,25 +404,17 @@ def cmd_compress(args):
                              "finetune_epochs": resolved["epochs"]}
     serialize.write_document(new_doc, out / "model.json")
     _write_json(report, out / "report.json")
-    _write_resolved(out, "compress", resolved)
     print(f"wrote {out / 'model.json'} ratio={report['ratio']:.2f} "
           f"acc {report['acc_before']:.4f}->{report['acc_after']:.4f}")
-    return 0
 
 
-def cmd_eval(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
-    if not resolved["model"] or not resolved["dataset"]:
-        raise ConfigError("--model and --dataset are required")
+def cmd_eval(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     container = data.load_container(resolved["dataset"])
     y = container.labels if isinstance(container, data.Recording) else container.y
     n_classes = int(doc["train"].get("n_classes", int(y.max()) + 1))
-    te = None
-    if container.fingerprint() == doc["train"]["dataset_fingerprint"]:
-        te = _stored_test_indices(doc["train"], y.size)
-    if te is not None and te.size:
+    te = _stored_test_indices(doc["train"], container)
+    if te.size:
         # only the stored test fold is scored, so only it is featurised
         X_eval, y_eval, c, _ = _featurize(_rows(container, te), resolved, doc["pipeline"])
         split = "stored-test-fold"
@@ -463,16 +437,10 @@ def cmd_eval(args):
     metrics = compute_metrics(y_eval, labels, n_classes)
     result = {"split": split, "metrics": metrics.to_doc(), **extra}
     _write_json(result, out / "metrics.json")
-    _write_resolved(out, "eval", resolved)
     print(f"eval[{split}]: f1={metrics.f1:.4f} acc={metrics.accuracy:.4f}")
-    return 0
 
 
-def cmd_sweep(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
-    if not resolved["dataset"]:
-        raise ConfigError("--dataset is required")
+def cmd_sweep(resolved, out):
     lambdas = _number_list(resolved["lambdas"])
     depths = _number_list(resolved["depths"], int)
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
@@ -484,16 +452,10 @@ def cmd_sweep(args):
     (out / "sweep.csv").write_text(csv_text)
     _write_json({"points": [p.to_doc() for p in points],
                  "fingerprint": container.fingerprint()}, out / "sweep.json")
-    _write_resolved(out, "sweep", resolved)
     print(f"wrote {out / 'sweep.csv'} ({len(points)} points)")
-    return 0
 
 
-def cmd_report(args):
-    resolved = _resolve(args)
-    out = _out_dir(args)
-    if not resolved["dataset"]:
-        raise ConfigError("--dataset is required")
+def cmd_report(resolved, out):
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved)
     preset = resolved["task_preset"]
     report = benchmark_report(
@@ -504,14 +466,12 @@ def cmd_report(args):
     )
     _write_json(report, out / "report.json")
     (out / "report.csv").write_text(report_to_csv(report))
-    _write_resolved(out, "report", resolved)
     rows = report["methods"]
     print("method  f1           size_norm power_norm")
     for name in ("gbt", "pegb", "peot"):
         r = rows[name]
         print(f"{name:<7} {r['f1_mean']:.4f}±{r['f1_std']:.4f} "
               f"{r['size_norm']:9.4f} {r['power_norm']:10.4f}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +516,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        resolved = _resolve(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        missing = ["--" + name for name in REQUIRED.get(args.command, ())
+                   if not resolved[name]]
+        if missing:
+            raise ConfigError(f"missing required input: {' and '.join(missing)}")
+        args.func(resolved, out)
+        _write_json({"command": args.command, **resolved}, out / "resolved_config.json")
+        return 0
     except (ConfigError, InvalidInputError) as exc:
         _emit_error("config", exc)
         return EXIT_CONFIG

@@ -271,14 +271,12 @@ class ObliqueTree:
 
         Each level groups its rows by node (the nonzero bins of
         ``np.bincount``, in ascending node order) and evaluates each node
-        on its rows.  When all rows sit at one node, as at the root, that
-        node takes all rows as they are, with no mask.  Those rows are made
-        C-contiguous first, as a mask's copy would be: BLAS may sum a
-        Fortran-ordered operand in another order.  A single row skips the
+        on the C-ordered copy its row mask selects, so a Fortran-ordered
+        batch is summed as a C-ordered one would be.  A single row skips the
         grouping and runs the same product on the same row at each level.
         """
         X, _ = self._as_batch(x)
-        Z = np.ascontiguousarray(self.standardize(X))
+        Z = self.standardize(X)
         path = np.empty((Z.shape[0], self.depth), dtype=np.int64)
         if Z.shape[0] == 1:
             u = 0
@@ -292,9 +290,8 @@ class ObliqueTree:
         for level in range(self.depth):
             path[:, level] = node
             nxt = np.empty_like(node)
-            nodes = np.flatnonzero(np.bincount(node))
-            for u in nodes:
-                sel = node == u if nodes.size > 1 else slice(None)
+            for u in np.flatnonzero(np.bincount(node)):
+                sel = node == u
                 hid = np.maximum(Z[sel] @ self.W1[u].T + self.b1[u], 0.0)
                 logit = hid @ self.w2[u] + self.b2[u]
                 nxt[sel] = 2 * u + 1 + (logit > 0.0)

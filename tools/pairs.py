@@ -14,8 +14,10 @@ since the change would be compared with itself.
 It prints each pair's ``setup_s``, ``body_s`` and ``peak_rss_mb`` (parent /
 change), then the medians, the number of pairs the change wins (lower is
 better for all three), the parent's ``body_s`` quartile distance and whether
-every run gave the same output digests.  The worktree is removed on every
-way out, including an error, Ctrl-C or SIGTERM.
+every run gave the same output digests.  Then, for every ``end_to_end``
+metric of ``BENCHMARK.json``, it prints both medians and one verdict: gain,
+worse, unresolved or unchanged (see ``verdicts``).  The worktree is removed
+on every way out, including an error, Ctrl-C or SIGTERM.
 """
 
 import argparse
@@ -91,6 +93,42 @@ def summarize(pairs: list[dict]) -> list[str]:
     return lines
 
 
+def verdicts(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per gated metric: both medians and a verdict, judged with the
+    metric's ``better`` direction and relative ``bound``.
+
+    - gain: the change is better in at least 9 of 10 pairs, and its median
+      beats the parent's by more than the parent's quartile distance;
+    - worse: the change's median is worse than the parent's by more than
+      ``bound`` x the parent median;
+    - unresolved: the parent's quartile distance is wider than that bound,
+      and not every change run beats every parent run;
+    - unchanged: none of these.
+    """
+    lines = []
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        sign = 1.0 if metric["better"] == "lower" else -1.0
+        # in "cost" units, lower is better whatever the metric's direction
+        cost = {side: [sign * p[side]["metrics"][name] for p in pairs] for side in SIDES}
+        med = {side: statistics.median(cost[side]) for side in SIDES}
+        spread = _quartile_distance(cost["parent"])
+        allowed = bound * abs(med["parent"])
+        wins = sum(c < p for p, c in zip(cost["parent"], cost["change"]))
+        if wins >= 0.9 * len(pairs) and med["parent"] - med["change"] > spread:
+            verdict = "gain"
+        elif med["change"] - med["parent"] > allowed:
+            verdict = "worse"
+        elif spread > allowed and not max(cost["change"]) < min(cost["parent"]):
+            verdict = "unresolved"
+        else:
+            verdict = "unchanged"
+        lines.append(f"{name} ({metric['better']} is better, bound {bound:g}): "
+                     f"median {sign * med['parent']:.4g} / {sign * med['change']:.4g} "
+                     f"{verdict}")
+    return lines
+
+
 @contextlib.contextmanager
 def parent_checkout(rev: str, repo: Path = ROOT):
     """A detached ``git worktree`` of ``rev`` in a temporary directory,
@@ -127,7 +165,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git rev to compare against")
     args = parser.parse_args(argv)
     check_differs(args.parent)
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     # SIGTERM unwinds like Ctrl-C, so the worktree is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with parent_checkout(args.parent) as parent:
@@ -135,7 +174,7 @@ def main(argv=None) -> int:
         pairs = run_pairs(args.pairs, {
             side: lambda path=path: run_bench(path, args.workload, args.seed, seconds)
             for side, path in checkouts.items()})
-    print("\n".join(summarize(pairs)))
+    print("\n".join(summarize(pairs) + verdicts(pairs, bench["end_to_end"])))
     return 0
 
 
