@@ -6,11 +6,10 @@ determinism matters more than asymptotics).  Each column is stable-sorted
 once per ``train_gbt`` call; a node reads its rows in every column's order
 by filtering that order, and scores all columns' splits in one array
 expression (the pre-sorted column blocks of exact greedy in XGBoost, Chen &
-Guestrin 2016).  A cost-aware variant penalizes
-the split gain by lambda * cost the first time a feature is used within the
-current tree, approximating power-efficient boosting; fixed-point
-quantization of thresholds and leaf weights produces the compressed
-variant.
+Guestrin 2016).  A cost-aware variant penalizes the split gain by lambda *
+cost the first time a feature is used within the current tree, approximating
+power-efficient boosting; fixed-point quantization of thresholds and leaf
+weights produces the compressed variant.
 
 Every boosted model is a ``GbtOvR`` read through ``model.ensembles``: one
 binary ensemble per class, or one member for a binary task.  A one-member
@@ -63,16 +62,29 @@ class GbtConfig:
         return cfg
 
 
+def _node_array(dtype):
+    return field(metadata={"dtype": dtype})
+
+
 @dataclass
 class AxisTree:
-    """Array-packed regression tree; left child covers feature <= threshold."""
+    """Array-packed regression tree; left child covers feature <= threshold.
 
-    feature: np.ndarray  # int64 split feature, -1 at leaves
-    threshold: np.ndarray  # float64, nan at leaves
-    left: np.ndarray  # int64 child index, -1 at leaves
-    right: np.ndarray
-    value: np.ndarray  # float64 leaf weight, 0.0 at internal nodes
-    node_depth: np.ndarray  # int64 depth of each node (root = 0)
+    The fields, in order and each with its dtype, are the node layout: node
+    i is the record ``(feature[i], threshold[i], ..., node_depth[i])``."""
+
+    feature: np.ndarray = _node_array(np.int64)  # split feature, -1 at leaves
+    threshold: np.ndarray = _node_array(np.float64)  # nan at leaves
+    left: np.ndarray = _node_array(np.int64)  # child index, -1 at leaves
+    right: np.ndarray = _node_array(np.int64)
+    value: np.ndarray = _node_array(np.float64)  # leaf weight, 0.0 at internal nodes
+    node_depth: np.ndarray = _node_array(np.int64)  # depth of each node (root = 0)
+
+    @classmethod
+    def from_records(cls, records) -> "AxisTree":
+        """The tree whose node i is the record ``records[i]``."""
+        return cls(*(np.asarray(column, dtype=f.metadata["dtype"])
+                     for f, column in zip(fields(cls), zip(*records), strict=True)))
 
     @property
     def n_nodes(self) -> int:
@@ -104,15 +116,11 @@ class AxisTree:
         return self.value[self.walk(X)]
 
     def to_doc(self) -> dict:
-        return {name: serialize.encode_array(getattr(self, name))
-                for name in ("feature", "threshold", "left", "right",
-                             "value", "node_depth")}
+        return {f.name: serialize.encode_array(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AxisTree":
-        return cls(**{name: serialize.decode_array(doc[name])
-                      for name in ("feature", "threshold", "left", "right",
-                                   "value", "node_depth")})
+        return cls(**{f.name: serialize.decode_array(doc[f.name]) for f in fields(cls)})
 
 
 @dataclass
@@ -193,8 +201,7 @@ class _TreeBuilder:
         self.cost_vec = cost_vec
         self.order, self.sorted_x = _sorted_columns(X) if columns is None else columns
         self.used_features: set[int] = set()  # resets per tree
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value, self.depth = [], [], [], []
+        self.nodes: list[tuple] = []  # AxisTree node records, in preorder
 
     def _best_split(self, idx):
         """``(gain, feature, threshold, left_local)`` of the best split of
@@ -246,50 +253,28 @@ class _TreeBuilder:
         thr = 0.5 * (xs[j, p] + xs[j, p + 1])
         return gain, j, float(thr), np.searchsorted(idx, rows[j, :p + 1])
 
-    def _leaf(self, idx, depth):
-        w = -self.g[idx].sum() / (self.h[idx].sum() + self.cfg.reg_lambda)
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(np.nan)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(w))
-        self.depth.append(depth)
-        return node
-
-    def build(self, idx=None, depth=0) -> int:
-        if idx is None:
-            idx = np.arange(self.X.shape[0])
-        if depth >= self.cfg.max_depth:
-            return self._leaf(idx, depth)
-        split = self._best_split(idx)
+    def build(self, idx, depth=0) -> int:
+        """Append the subtree over the ascending rows ``idx``; return its root."""
+        node = len(self.nodes)
+        split = self._best_split(idx) if depth < self.cfg.max_depth else None
         if split is None:
-            return self._leaf(idx, depth)
+            w = -self.g[idx].sum() / (self.h[idx].sum() + self.cfg.reg_lambda)
+            self.nodes.append((-1, np.nan, -1, -1, float(w), depth))
+            return node
         _, j, thr, left_local = split
+        # before the children: a feature's first-use penalty is paid once per tree
         self.used_features.add(j)
-        node = len(self.feature)
-        self.feature.append(j)
-        self.threshold.append(thr)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        self.depth.append(depth)
+        self.nodes.append(None)  # written once both children are numbered
         left_mask = np.zeros(idx.size, dtype=bool)
         left_mask[left_local] = True
-        self.left[node] = self.build(idx[left_mask], depth + 1)
-        self.right[node] = self.build(idx[~left_mask], depth + 1)
+        left = self.build(idx[left_mask], depth + 1)
+        right = self.build(idx[~left_mask], depth + 1)
+        self.nodes[node] = (j, thr, left, right, 0.0, depth)
         return node
 
     def tree(self) -> AxisTree:
-        self.build()
-        return AxisTree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-            node_depth=np.asarray(self.depth, dtype=np.int64),
-        )
+        self.build(np.arange(self.X.shape[0]))
+        return AxisTree.from_records(self.nodes)
 
 
 def train_gbt(X, y, config: GbtConfig, cost_vec=None) -> GbtEnsemble:
@@ -302,14 +287,7 @@ def train_gbt(X, y, config: GbtConfig, cost_vec=None) -> GbtEnsemble:
     base = float(np.log(p / (1.0 - p)))
     if y.min() == y.max():
         warnings.warn("single-class dataset: degenerate base-score model")
-        stump = AxisTree(
-            feature=np.asarray([-1], dtype=np.int64),
-            threshold=np.asarray([np.nan]),
-            left=np.asarray([-1], dtype=np.int64),
-            right=np.asarray([-1], dtype=np.int64),
-            value=np.asarray([0.0]),
-            node_depth=np.asarray([0], dtype=np.int64),
-        )
+        stump = AxisTree.from_records([(-1, np.nan, -1, -1, 0.0, 0)])
         return GbtEnsemble([stump], config.learning_rate, base, X.shape[1],
                            meta={"degenerate": True})
     margin = np.full(X.shape[0], base)
@@ -346,35 +324,29 @@ def quantize_gbt(ensemble: GbtEnsemble, threshold_bits: int = 10,
     """
     if threshold_bits < 1 or leaf_bits < 1:
         raise InvalidInputError("bit widths must be >= 1")
-    thr_by_feature: dict[int, list[float]] = {}
-    leaf_vals = []
-    for t in ensemble.trees:
-        internal = t.feature >= 0
-        for f, thr in zip(t.feature[internal], t.threshold[internal]):
-            thr_by_feature.setdefault(int(f), []).append(float(thr))
-        leaf_vals.extend(t.value[~internal].tolist())
-    thr_formats = {f: fit_format(np.asarray(v), threshold_bits)
-                   for f, v in thr_by_feature.items()}
-    leaf_format = fit_format(np.asarray(leaf_vals), leaf_bits)
+    feature = np.concatenate([t.feature for t in ensemble.trees])
+    internal = feature >= 0
+    split_on = feature[internal]
+    thresholds = np.concatenate([t.threshold for t in ensemble.trees])[internal]
+    # np.unique is sorted, so threshold_ranges lists the features in order
+    thr_formats = {int(f): fit_format(thresholds[split_on == f], threshold_bits)
+                   for f in np.unique(split_on)}
+    leaf_format = fit_format(np.concatenate([t.value for t in ensemble.trees])[~internal],
+                             leaf_bits)
 
     new_trees = []
     for t in ensemble.trees:
-        feature = t.feature.copy()
-        threshold = t.threshold.copy()
-        value = t.value.copy()
-        for i in range(t.n_nodes):
-            if feature[i] >= 0:
-                fmt = thr_formats[int(feature[i])]
-                threshold[i] = quantize_values([threshold[i]], fmt)[0]
-            else:
-                value[i] = quantize_values([value[i]], leaf_format)[0]
-        new_trees.append(AxisTree(feature, threshold, t.left.copy(),
-                                  t.right.copy(), value, t.node_depth.copy()))
+        q = AxisTree(*(getattr(t, f.name).copy() for f in fields(t)))
+        leaf = q.feature < 0
+        q.value[leaf] = quantize_values(q.value[leaf], leaf_format)
+        for f in np.unique(q.feature[~leaf]):
+            at = q.feature == f
+            q.threshold[at] = quantize_values(q.threshold[at], thr_formats[int(f)])
+        new_trees.append(q)
     quant = {
         "threshold_bits": threshold_bits,
         "leaf_bits": leaf_bits,
-        "threshold_ranges": {str(f): [fmt.lo, fmt.hi]
-                             for f, fmt in sorted(thr_formats.items())},
+        "threshold_ranges": {str(f): [fmt.lo, fmt.hi] for f, fmt in thr_formats.items()},
         "leaf_range": [leaf_format.lo, leaf_format.hi],
     }
     return GbtEnsemble(new_trees, ensemble.learning_rate, ensemble.base_score,

@@ -369,9 +369,22 @@ def cmd_train(resolved, out):
           + (f" test_f1={metrics['test']['f1']:.4f}" if te_idx.size else ""))
 
 
+# the sections of a model document that ``train`` writes and ``compress`` or
+# ``eval`` reads, each with the keys it must hold; ``train.test_indices`` and
+# ``train.n_classes`` are read with defaults
+MODEL_DOC_KEYS = {"core": (), "pipeline": ("feature_spec", "cost_table"),
+                  "train": ("dataset_fingerprint", "config")}
+
+
 def _load_model_doc(path):
     doc = serialize.read_document(path)
     serialize.check_header(doc, "model", path)
+    for section, keys in MODEL_DOC_KEYS.items():
+        if not isinstance(doc.get(section), dict):
+            raise DataError(f"{path}: model document lacks the {section!r} object")
+        for key in keys:
+            if key not in doc[section]:
+                raise DataError(f"{path}: model document lacks {section}.{key}")
     return doc, serialize.model_from_doc(doc["core"])
 
 

@@ -85,14 +85,6 @@ class Dataset:
         _check_labels(self.y)
 
     @property
-    def n_samples(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
-
-    @property
     def n_classes(self) -> int:
         return int(self.y.max()) + 1 if self.y.size else 0
 

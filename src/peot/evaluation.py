@@ -10,7 +10,7 @@ size/power to the conventional GBT baseline row.
 
 import io
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,15 +121,10 @@ def make_folds(n: int, k: int, scheme: str = "blocks", seed: int = 0,
             raise InvalidInputError("stratified folds need labels")
         rng = _fold_rng(fingerprint, seed)
         y = np.asarray(y, dtype=np.int64)
-        buckets: list[list[int]] = [[] for _ in range(k)]
-        offset = 0
-        for cls in np.unique(y):
-            idx = np.flatnonzero(y == cls)
-            idx = idx[rng.permutation(idx.size)]
-            for j, sample in enumerate(idx):
-                buckets[(offset + j) % k].append(int(sample))
-            offset += idx.size
-        test_sets = [np.sort(np.asarray(b, dtype=np.int64)) for b in buckets]
+        # each class's rows shuffled, in label order, then dealt to the folds in turn
+        classes = [np.flatnonzero(y == cls) for cls in np.unique(y)]
+        order = np.concatenate([idx[rng.permutation(idx.size)] for idx in classes])
+        test_sets = [np.sort(order[i::k]) for i in range(k)]
     else:
         raise InvalidInputError(f"unknown fold scheme {scheme!r}")
     all_idx = np.arange(n)
@@ -192,7 +187,6 @@ class SweepPoint:
     f1_std: float
     power_mean: float
     latency: int
-    fold_rows: list = field(default_factory=list)
     error: str | None = None
 
     def to_doc(self) -> dict:
@@ -249,8 +243,7 @@ def tradeoff_sweep(X, y, cost_vec, lambda_grid, depth_grid,
                     for i, (met, power) in enumerate(zip(cv.fold_metrics, powers))]
             writer.writerows(rows)
             points.append(SweepPoint(float(lam), int(depth), cv.f1_mean,
-                                     cv.f1_std, float(np.mean(powers)),
-                                     int(depth), fold_rows=rows))
+                                     cv.f1_std, float(np.mean(powers)), int(depth)))
     return points, buf.getvalue()
 
 

@@ -69,12 +69,6 @@ class FeatureEntry:
         if self.channel < 0:
             raise InvalidInputError("channel index must be >= 0")
 
-    def label(self) -> str:
-        if self.kind == BAND_POWER:
-            lo, hi = self.band
-            return f"ch{self.channel}:bp[{lo:g},{hi:g}]"
-        return f"ch{self.channel}:{'ll' if self.kind == LINE_LENGTH else 'var'}"
-
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -163,9 +157,6 @@ class FeatureSpec:
         per_block = max(1, _BLOCK_WINDOWS * widest // max(len(columns), 1))
         return (tuple(scalar), _read_only(channels), tuple(bands),
                 _read_only(columns), per_block)
-
-    def labels(self) -> list[str]:
-        return [e.label() for e in self.entries]
 
     def to_doc(self) -> list[dict]:
         out = []

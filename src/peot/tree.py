@@ -157,10 +157,6 @@ class ObliqueTree:
         """Parameters of one internal node (W1 block, b1, w2, b2)."""
         return self.hidden * self.n_features + 2 * self.hidden + 1
 
-    @property
-    def parameter_count(self) -> int:
-        return self.n_internal * self.node_param_count + self.n_leaves * self.n_classes
-
     @classmethod
     def random(cls, depth, n_features, n_classes, hidden=8, rng=None,
                init_scale=1.0, mu=None, sigma=None):
