@@ -15,10 +15,11 @@ Every boosted model is a ``GbtOvR`` read through ``model.ensembles``: one
 binary ensemble per class, or one member for a binary task.  A one-member
 model is stored as its member's ``gbt-ensemble`` document, and a bare
 ``GbtEnsemble`` (from the public ``train_gbt``) is a one-member model too.
+Configs, trees and models are stored through the ``serialize`` codec.
 """
 
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -32,7 +33,7 @@ PROB_CLAMP = 1e-6
 
 
 @dataclass
-class GbtConfig:
+class GbtConfig(serialize.Stored):
     n_trees: int = 8
     max_depth: int = 4
     learning_rate: float = 0.3
@@ -52,33 +53,20 @@ class GbtConfig:
         if not (0 <= self.reg_lambda < np.inf and 0 <= self.cost_lambda < np.inf):  # also NaN
             raise InvalidInputError("regularization weights must be finite and >= 0")
 
-    def to_doc(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GbtConfig":
-        cfg = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
-        cfg.validate()
-        return cfg
-
-
-def _node_array(dtype):
-    return field(metadata={"dtype": dtype})
-
 
 @dataclass
-class AxisTree:
+class AxisTree(serialize.Stored):
     """Array-packed regression tree; left child covers feature <= threshold.
 
     The fields, in order and each with its dtype, are the node layout: node
     i is the record ``(feature[i], threshold[i], ..., node_depth[i])``."""
 
-    feature: np.ndarray = _node_array(np.int64)  # split feature, -1 at leaves
-    threshold: np.ndarray = _node_array(np.float64)  # nan at leaves
-    left: np.ndarray = _node_array(np.int64)  # child index, -1 at leaves
-    right: np.ndarray = _node_array(np.int64)
-    value: np.ndarray = _node_array(np.float64)  # leaf weight, 0.0 at internal nodes
-    node_depth: np.ndarray = _node_array(np.int64)  # depth of each node (root = 0)
+    feature: np.ndarray = serialize.array_field(np.int64)  # split feature, -1 at leaves
+    threshold: np.ndarray = serialize.array_field(np.float64)  # nan at leaves
+    left: np.ndarray = serialize.array_field(np.int64)  # child index, -1 at leaves
+    right: np.ndarray = serialize.array_field(np.int64)
+    value: np.ndarray = serialize.array_field(np.float64)  # leaf weight, 0.0 at internal nodes
+    node_depth: np.ndarray = serialize.array_field(np.int64)  # depth of each node (root = 0)
 
     @classmethod
     def from_records(cls, records) -> "AxisTree":
@@ -115,16 +103,9 @@ class AxisTree:
     def leaf_values(self, X) -> np.ndarray:
         return self.value[self.walk(X)]
 
-    def to_doc(self) -> dict:
-        return {f.name: serialize.encode_array(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "AxisTree":
-        return cls(**{f.name: serialize.decode_array(doc[f.name]) for f in fields(cls)})
-
 
 @dataclass
-class GbtEnsemble:
+class GbtEnsemble(serialize.Stored, kind="gbt-ensemble"):
     """Boosted ensemble: margin(x) = base + lr * sum of tree outputs."""
 
     trees: list[AxisTree]
@@ -149,27 +130,6 @@ class GbtEnsemble:
         for t in self.trees:
             m += self.learning_rate * t.leaf_values(X)
         return m
-
-    def to_doc(self) -> dict:
-        doc = serialize.new_document("gbt-ensemble")
-        doc.update(
-            learning_rate=self.learning_rate, base_score=self.base_score,
-            n_features=self.n_features, quant=self.quant, meta=self.meta,
-            trees=[t.to_doc() for t in self.trees],
-        )
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "GbtEnsemble":
-        serialize.check_header(doc, "gbt-ensemble")
-        return cls(
-            trees=[AxisTree.from_doc(t) for t in doc["trees"]],
-            learning_rate=float(doc["learning_rate"]),
-            base_score=float(doc["base_score"]),
-            n_features=int(doc["n_features"]),
-            quant=doc.get("quant"),
-            meta=doc.get("meta", {}),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +318,7 @@ def quantize_gbt(ensemble: GbtEnsemble, threshold_bits: int = 10,
 
 
 @dataclass
-class GbtOvR:
+class GbtOvR(serialize.Stored, kind="gbt-ovr"):
     """A boosted model: one binary ensemble per class, or one for a binary task."""
 
     ensembles: list[GbtEnsemble]
@@ -369,19 +329,14 @@ class GbtOvR:
 
     def to_doc(self) -> dict:
         """A one-member model is stored as its member's ``gbt-ensemble``."""
-        if len(self.ensembles) == 1:
-            return self.ensembles[0].to_doc()
-        doc = serialize.new_document("gbt-ovr")
-        doc["ensembles"] = [e.to_doc() for e in self.ensembles]
-        return doc
+        return self.ensembles[0].to_doc() if len(self.ensembles) == 1 else super().to_doc()
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "GbtOvR":
+    def from_doc(cls, doc: dict, path="<doc>", key="") -> "GbtOvR":
         """Reads ``to_doc``'s output, a ``gbt-ensemble`` as a one-member model."""
-        if doc.get("kind") == "gbt-ensemble":
-            return cls([GbtEnsemble.from_doc(doc)])
-        serialize.check_header(doc, "gbt-ovr")
-        return cls([GbtEnsemble.from_doc(d) for d in doc["ensembles"]])
+        if isinstance(doc, dict) and doc.get("kind") == GbtEnsemble.KIND:
+            return cls([GbtEnsemble.from_doc(doc, path, key)])
+        return super().from_doc(doc, path, key)
 
 
 def train_gbt_multiclass(X, y, config: GbtConfig, cost_vec=None) -> GbtOvR:

@@ -8,7 +8,8 @@ creates ``--out``, checks the inputs ``REQUIRED`` names, runs
 its own directory.  Config-file values get the same type and choice checks
 as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
-codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  Any
+malformed stored document (``model.json``, ``dataset.json``) exits 3.
 """
 
 import argparse
@@ -257,13 +258,11 @@ def _stored_test_indices(train_doc, container) -> np.ndarray:
     if container.fingerprint() != train_doc["dataset_fingerprint"]:
         return np.asarray([], dtype=np.int64)
     n = len(container.labels if isinstance(container, data.Recording) else container.y)
-    stored = train_doc.get("test_indices", [])
-    if not isinstance(stored, list):
-        raise DataError("model train.test_indices must be a list of row indices")
+    stored = serialize.decode(list[int], train_doc.get("test_indices", []), "model",
+                              "train.test_indices")
     for i in stored:
-        if type(i) is not int or not 0 <= i < n:
-            raise DataError(f"model train.test_indices holds {i!r}, "
-                            f"not a row index in [0, {n})")
+        if not 0 <= i < n:
+            raise DataError(f"model train.test_indices holds {i}, not a row index in [0, {n})")
     if len(set(stored)) != len(stored):
         raise DataError("model train.test_indices repeats a row index")
     return np.asarray(stored, dtype=np.int64)
@@ -385,16 +384,16 @@ def _load_model_doc(path):
         for key in keys:
             if key not in doc[section]:
                 raise DataError(f"{path}: model document lacks {section}.{key}")
-    return doc, serialize.model_from_doc(doc["core"])
+    return doc, serialize.model_from_doc(doc["core"], path, "core")
 
 
 def cmd_compress(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     if not isinstance(model, tree_mod.ObliqueTree):
         raise ConfigError("compress applies to oblique-tree models")
+    cfg = TrainConfig.from_doc(doc["train"]["config"], resolved["model"], "train.config")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved,
                                              doc["pipeline"])
-    cfg = TrainConfig.from_doc(doc["train"]["config"])
     lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
     ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
                      lam=lam, seed=resolved["seed"])
@@ -425,7 +424,10 @@ def cmd_eval(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     container = data.load_container(resolved["dataset"])
     y = container.labels if isinstance(container, data.Recording) else container.y
-    n_classes = int(doc["train"].get("n_classes", int(y.max()) + 1))
+    n_classes = doc["train"].get("n_classes", int(y.max()) + 1)
+    if type(n_classes) is not int or y.max() >= n_classes:  # no bool; labels are >= 0
+        raise DataError(f"{resolved['model']}: train.n_classes is {n_classes!r}, "
+                        f"the dataset has {int(y.max()) + 1} classes")
     te = _stored_test_indices(doc["train"], container)
     if te.size:
         # only the stored test fold is scored, so only it is featurised
@@ -444,9 +446,6 @@ def cmd_eval(resolved, out):
     else:
         labels = boosting.predict_labels(model, X_eval)
         extra = {"deployed_power": boosting.model_power(model, X_eval, c)}
-    if y.max() >= n_classes:
-        raise DataError(f"dataset has {int(y.max()) + 1} classes, "
-                        f"the model {n_classes}")
     metrics = compute_metrics(y_eval, labels, n_classes)
     result = {"split": split, "metrics": metrics.to_doc(), **extra}
     _write_json(result, out / "metrics.json")

@@ -86,38 +86,25 @@ def fit_format(values, bits: int) -> QuantFormat:
 
 
 @dataclass
-class Codebook:
+class Codebook(serialize.Stored):
     """Shared-weight codebook: k centroids plus one index per survivor.
 
     Assignments follow the flattened (node, row, column) order of the
     surviving first-layer weights.
     """
 
-    centroids: np.ndarray
-    assignments: np.ndarray
+    centroids: np.ndarray = serialize.array_field(np.float64)
+    assignments: np.ndarray = serialize.array_field(np.int64)
 
     def copy(self) -> "Codebook":
         return Codebook(self.centroids.copy(), self.assignments.copy())
 
-    def to_doc(self) -> dict:
-        return {
-            "centroids": serialize.encode_array(self.centroids),
-            "assignments": serialize.encode_array(self.assignments.astype(np.int64)),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "Codebook":
-        return cls(
-            centroids=serialize.decode_array(doc["centroids"]),
-            assignments=serialize.decode_array(doc["assignments"]),
-        )
-
 
 @dataclass
-class CompressionState:
+class CompressionState(serialize.Stored):
     """Prune mask (True = frozen zero) and optional sharing codebook."""
 
-    pruned: np.ndarray
+    pruned: np.ndarray = serialize.array_field(bool, disk=np.uint8)
     codebook: Codebook | None = None
 
     def copy(self) -> "CompressionState":
@@ -125,12 +112,6 @@ class CompressionState:
             self.pruned.copy(),
             None if self.codebook is None else self.codebook.copy(),
         )
-
-    def to_doc(self) -> dict:
-        return {
-            "pruned": serialize.encode_array(self.pruned.astype(np.uint8)),
-            "codebook": None if self.codebook is None else self.codebook.to_doc(),
-        }
 
     def check_matches(self, W1: np.ndarray) -> None:
         """Raise ``DataError`` unless this state describes ``W1`` exactly.
@@ -160,14 +141,6 @@ class CompressionState:
         if mismatched:
             raise DataError(f"{mismatched} surviving W1 entries differ from "
                             "their codebook centroid")
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CompressionState":
-        cb = doc.get("codebook")
-        return cls(
-            pruned=serialize.decode_array(doc["pruned"]).astype(bool),
-            codebook=None if cb is None else Codebook.from_doc(cb),
-        )
 
 
 def prune(tree: ObliqueTree, target_sparsity: float):

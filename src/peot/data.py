@@ -1,9 +1,9 @@
 """Dataset containers and file ingestion (IDX images, CSV recordings).
 
 Two container kinds exist: a ``Recording`` of labeled multi-channel signal
-windows, and a flat feature-matrix ``Dataset``.  Both carry a content
-fingerprint so downstream folds and reports can assert they ran on
-identical data.
+windows, and a flat feature-matrix ``Dataset``, stored through the
+``serialize`` codec.  A container file adds a content fingerprint so
+downstream folds and reports can assert they ran on identical data.
 """
 
 import csv
@@ -27,12 +27,12 @@ def _check_labels(labels: np.ndarray) -> None:
 
 
 @dataclass
-class Recording:
+class Recording(serialize.Stored, kind="recording"):
     """Labeled signal windows: ``windows[i]`` is (n_channels, window_len)."""
 
-    windows: np.ndarray  # (n_windows, n_channels, window_len) float64
+    windows: np.ndarray = serialize.array_field(np.float64)  # (n_windows, n_channels, len)
     fs: float
-    labels: np.ndarray  # (n_windows,) int64
+    labels: np.ndarray = serialize.array_field(np.int64)  # (n_windows,)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -65,11 +65,11 @@ class Recording:
 
 
 @dataclass
-class Dataset:
+class Dataset(serialize.Stored, kind="dataset"):
     """Flat feature matrix with integer class labels."""
 
-    X: np.ndarray  # (n_samples, n_features)
-    y: np.ndarray  # (n_samples,) int64
+    X: np.ndarray = serialize.array_field()  # (n_samples, n_features), any dtype
+    y: np.ndarray = serialize.array_field(np.int64)  # (n_samples,)
     feature_names: list[str] | None = None
     meta: dict = field(default_factory=dict)
 
@@ -96,52 +96,23 @@ class Dataset:
 # container files
 
 
+CONTAINERS = {cls.KIND: cls for cls in (Recording, Dataset)}
+
+
 def save_container(obj, path) -> None:
-    if isinstance(obj, Recording):
-        doc = serialize.new_document("recording")
-        doc["windows"] = serialize.encode_array(obj.windows)
-        doc["labels"] = serialize.encode_array(obj.labels)
-        doc["fs"] = obj.fs
-        doc["meta"] = obj.meta
-        doc["fingerprint"] = obj.fingerprint()
-    elif isinstance(obj, Dataset):
-        doc = serialize.new_document("dataset")
-        doc["X"] = serialize.encode_array(obj.X)
-        doc["y"] = serialize.encode_array(obj.y)
-        doc["feature_names"] = obj.feature_names
-        doc["meta"] = obj.meta
-        doc["fingerprint"] = obj.fingerprint()
-    else:
+    if not isinstance(obj, (Recording, Dataset)):
         raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
+    doc = obj.to_doc()
+    doc["fingerprint"] = obj.fingerprint()
     serialize.write_document(doc, path)
 
 
 def load_container(path):
     doc = serialize.read_document(path)
-    kind = doc.get("kind")
-    if kind == "recording":
-        serialize.check_header(doc, "recording", path)
-        rec = Recording(
-            windows=serialize.decode_array(doc["windows"]),
-            fs=float(doc["fs"]),
-            labels=serialize.decode_array(doc["labels"]),
-            meta=doc.get("meta", {}),
-        )
-        if doc.get("fingerprint") != rec.fingerprint():
-            raise DataError(f"{path}: fingerprint mismatch (corrupt container)")
-        return rec
-    if kind == "dataset":
-        serialize.check_header(doc, "dataset", path)
-        ds = Dataset(
-            X=serialize.decode_array(doc["X"]),
-            y=serialize.decode_array(doc["y"]),
-            feature_names=doc.get("feature_names"),
-            meta=doc.get("meta", {}),
-        )
-        if doc.get("fingerprint") != ds.fingerprint():
-            raise DataError(f"{path}: fingerprint mismatch (corrupt container)")
-        return ds
-    raise DataError(f"{path}: unknown container kind {kind!r}")
+    container = serialize.decode_kind(doc, CONTAINERS, path)
+    if doc.get("fingerprint") != container.fingerprint():
+        raise DataError(f"{path}: fingerprint mismatch (corrupt container)")
+    return container
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ sit at 2i + 1 and 2i + 2, and leaf l occupies full-tree slot n + l.
 
 import functools
 from collections import namedtuple
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -61,7 +61,7 @@ def _softmax_rows(logits):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(serialize.Stored):
     """Hyperparameters for gradient training of an oblique tree."""
 
     depth: int = 3
@@ -100,38 +100,37 @@ class TrainConfig:
         if self.l1_mode not in ("prox", "subgradient"):
             raise InvalidInputError(f"unknown l1_mode {self.l1_mode!r}")
 
-    def to_doc(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "TrainConfig":
-        cfg = cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
-        cfg.validate()
-        return cfg
-
-
-class ObliqueTree:
+@dataclass(eq=False)
+class ObliqueTree(serialize.Stored, kind="oblique-tree"):
     """Complete oblique tree with two-layer routing networks at each node."""
 
-    def __init__(self, depth, n_features, n_classes, hidden,
-                 W1, b1, w2, b2, leaf_logits, mu=None, sigma=None,
-                 compression=None):
+    depth: int
+    n_features: int
+    n_classes: int
+    hidden: int
+    W1: np.ndarray = serialize.array_field(np.float64)
+    b1: np.ndarray = serialize.array_field(np.float64)
+    w2: np.ndarray = serialize.array_field(np.float64)
+    b2: np.ndarray = serialize.array_field(np.float64)
+    leaf_logits: np.ndarray = serialize.array_field(np.float64)
+    mu: np.ndarray = serialize.array_field(np.float64, default=None)
+    sigma: np.ndarray = serialize.array_field(np.float64, default=None)
+    compression: "CompressionState | None" = None
+
+    def __post_init__(self):
+        sizes = depth, n_features, n_classes, hidden = (
+            self.depth, self.n_features, self.n_classes, self.hidden)
         if depth < 1:
             raise InvalidInputError("depth must be >= 1")
         n = 2 ** depth - 1
         leaves = 2 ** depth
-        self.depth = int(depth)
-        self.n_features = int(n_features)
-        self.n_classes = int(n_classes)
-        self.hidden = int(hidden)
-        self.W1 = np.asarray(W1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-        self.leaf_logits = np.asarray(leaf_logits, dtype=np.float64)
-        self.mu = np.zeros(n_features) if mu is None else np.asarray(mu, float)
-        self.sigma = np.ones(n_features) if sigma is None else np.asarray(sigma, float)
-        self.compression = compression
+        self.depth, self.n_features, self.n_classes, self.hidden = map(int, sizes)
+        for name in PARAM_NAMES:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        self.mu = np.zeros(n_features) if self.mu is None else np.asarray(self.mu, float)
+        self.sigma = (np.ones(n_features) if self.sigma is None
+                      else np.asarray(self.sigma, float))
         self.history: list[float] = []
         if self.W1.shape != (n, hidden, n_features):
             raise InvalidInputError(f"W1 must have shape {(n, hidden, n_features)}")
@@ -181,11 +180,9 @@ class ObliqueTree:
         )
 
     def copy(self) -> "ObliqueTree":
-        return ObliqueTree(
-            self.depth, self.n_features, self.n_classes, self.hidden,
-            **{name: getattr(self, name).copy() for name in ARRAY_NAMES},
-            compression=None if self.compression is None else self.compression.copy(),
-        )
+        return replace(
+            self, **{name: getattr(self, name).copy() for name in ARRAY_NAMES},
+            compression=None if self.compression is None else self.compression.copy())
 
     # -- forward -----------------------------------------------------------
 
@@ -333,28 +330,10 @@ class ObliqueTree:
             return touched / (self.n_internal * s + self.n_leaves * self.n_classes)
         raise InvalidInputError(f"unknown accounting {accounting!r}")
 
-    # -- serialization -----------------------------------------------------
-
-    def to_doc(self) -> dict:
-        doc = serialize.new_document("oblique-tree")
-        doc.update(
-            depth=self.depth, n_features=self.n_features,
-            n_classes=self.n_classes, hidden=self.hidden,
-            **{name: serialize.encode_array(getattr(self, name)) for name in ARRAY_NAMES},
-            compression=None if self.compression is None else self.compression.to_doc(),
-        )
-        return doc
-
     @classmethod
-    def from_doc(cls, doc: dict) -> "ObliqueTree":
-        serialize.check_header(doc, "oblique-tree")
-        tree = cls(
-            doc["depth"], doc["n_features"], doc["n_classes"], doc["hidden"],
-            **{name: serialize.decode_array(doc[name]) for name in ARRAY_NAMES},
-        )
-        if doc.get("compression") is not None:
-            from .compression import CompressionState
-            tree.compression = CompressionState.from_doc(doc["compression"])
+    def from_doc(cls, doc: dict, path="<doc>", key="") -> "ObliqueTree":
+        tree = super().from_doc(doc, path, key)
+        if tree.compression is not None:
             tree.compression.check_matches(tree.W1)
         return tree
 

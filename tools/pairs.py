@@ -16,8 +16,10 @@ change), then the medians, the number of pairs the change wins (lower is
 better for all three), the parent's ``body_s`` quartile distance and whether
 every run gave the same output digests.  Then, for every ``end_to_end``
 metric of ``BENCHMARK.json``, it prints both medians and one verdict: gain,
-worse, unresolved or unchanged (see ``verdicts``).  The worktree is removed
-on every way out, including an error, Ctrl-C or SIGTERM.
+worse, unresolved or unchanged (see ``verdicts``).  A run that fails stops
+the pairs with its pair number, side, exit code and the end of its standard
+error.  The worktree is removed on every way out, including an error, a
+failed run, Ctrl-C or SIGTERM.
 """
 
 import argparse
@@ -34,15 +36,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("setup_s", "body_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+STDERR_LINES = 20  # of a failed run's standard error, in its report
+
+
+class RunFailed(Exception):
+    """A benchmark run exited non-zero."""
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One gated run in ``checkout``: its metrics, digests and verdict, read
-    from the last two lines of its standard output."""
+    from the last two lines of its standard output.  A run that exits
+    non-zero raises ``RunFailed`` with its exit code and the last
+    ``STDERR_LINES`` lines of its standard error."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise RunFailed(f"exit code {proc.returncode}; the end of its stderr:\n{tail}")
     *_, detail, result = proc.stdout.strip().splitlines()
     detail, result = json.loads(detail), json.loads(result)
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
@@ -51,13 +63,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def run_pairs(n: int, run: dict) -> list[dict]:
     """``n`` pairs; ``run[side]()`` makes one run of that side.  Pair i runs
-    the parent first when i is even."""
+    the parent first when i is even.  A failed run stops the pairs with
+    ``SystemExit`` naming its pair number (from 1) and side."""
     pairs = []
     for i in range(n):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run[side]()
+            try:
+                pair[side] = run[side]()
+            except RunFailed as exc:
+                raise SystemExit(f"pair {i + 1}: the {side} run failed, {exc}") from exc
         pairs.append(pair)
     return pairs
 
