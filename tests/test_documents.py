@@ -153,6 +153,7 @@ def test_the_required_keys_are_the_stored_keys_without_a_default():
     ("train-config", "class_weight", 1, "class_weight", "expected a string, found 1"),
     ("gbt-config", "learning_rate", "0.3", "learning_rate", "expected a number, found '0.3'"),
     ("gbt-ensemble", "n_features", None, "n_features", "expected an integer, found None"),
+    ("gbt-ensemble", "n_features", True, "n_features", "expected an integer, found True"),
     ("gbt-ensemble", "trees", {}, "trees", "expected a JSON list, found {}"),
     ("gbt-ensemble", "quant", 3, "quant", "expected a JSON object, found 3"),
     ("gbt-ovr", "ensembles", [[]], "ensembles[0]", "expected a JSON object, found []"),
