@@ -68,6 +68,20 @@ class AxisTree(serialize.Stored):
     value: np.ndarray = serialize.array_field(np.float64)  # leaf weight, 0.0 at internal nodes
     node_depth: np.ndarray = serialize.array_field(np.int64)  # depth of each node (root = 0)
 
+    def __post_init__(self):
+        """Node i is a leaf iff ``feature[i] < 0``; its children are -1, an
+        internal node's lie after it, so every walk ends at a leaf."""
+        n, leaf = self.feature.size, self.feature < 0
+        if not n or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
+            raise InvalidInputError("a tree needs one or more nodes and node arrays "
+                                    "of one length")
+        children = np.stack([self.left, self.right])
+        inner = children[:, ~leaf]
+        if ((children[:, leaf] != -1).any() or (inner >= n).any()
+                or (inner <= np.flatnonzero(~leaf)).any()):
+            raise InvalidInputError("a leaf's children must be -1 and an internal "
+                                    "node's lie after it in the tree")
+
     @classmethod
     def from_records(cls, records) -> "AxisTree":
         """The tree whose node i is the record ``records[i]``."""
@@ -114,6 +128,11 @@ class GbtEnsemble(serialize.Stored, kind="gbt-ensemble"):
     n_features: int
     quant: dict | None = None  # set by quantize_gbt
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if any(t.feature.max() >= self.n_features for t in self.trees):
+            raise InvalidInputError(f"a tree splits on a feature >= n_features "
+                                    f"({self.n_features})")
 
     @property
     def ensembles(self) -> list["GbtEnsemble"]:
@@ -322,6 +341,11 @@ class GbtOvR(serialize.Stored, kind="gbt-ovr"):
     """A boosted model: one binary ensemble per class, or one for a binary task."""
 
     ensembles: list[GbtEnsemble]
+
+    def __post_init__(self):
+        if len({e.n_features for e in self.ensembles}) != 1:
+            raise InvalidInputError("a boosted model needs one or more members, "
+                                    "all of one n_features")
 
     @property
     def n_features(self) -> int:

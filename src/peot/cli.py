@@ -8,15 +8,17 @@ creates ``--out``, checks the inputs ``REQUIRED`` names, runs
 its own directory.  Config-file values get the same type and choice checks
 as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
-codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  Any
-malformed stored document (``model.json``, ``dataset.json``) exits 3.
+codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  A bad
+flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2.  A
+malformed ``dataset.json`` or ``model.json`` exits 3, and so does a stored
+pipeline that is malformed or does not fit the recording it featurises.
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .evaluation import (
 from .features import (
     DEFAULT_COST_TABLE,
     FIR_ORDER,
+    FeatureEntry,
     FeatureSpec,
     default_feature_spec,
     extract_features,
@@ -199,41 +202,89 @@ def _number_list(text: str, kind=float) -> list:
 
 
 # ---------------------------------------------------------------------------
+# the model document
+
+
+@dataclass
+class Pipeline(serialize.Stored):
+    """The feature spec and the cost table pricing it; null for a feature matrix."""
+
+    feature_spec: list[FeatureEntry] | None
+    cost_table: dict | None
+
+    def __post_init__(self):
+        if self.feature_spec is None and self.cost_table is None:
+            return
+        if not self.feature_spec:
+            raise InvalidInputError("a pipeline holds a non-empty feature spec, or is null")
+        feature_cost_vector(FeatureSpec(self.feature_spec), self.cost_table)
+
+
+@dataclass
+class TrainRecord(serialize.Stored):
+    """How ``train`` made the model; ``config`` is read by the model's kind."""
+
+    config: dict
+    seed: int
+    holdout: float
+    dataset_fingerprint: str
+    test_indices: list[int] = field(default_factory=list)
+    n_classes: int | None = serialize.omitted_when_none()
+
+
+@dataclass
+class ModelDocument(serialize.Stored, kind="model"):
+    """``model.json``: ``core`` is any stored model, read by its kind."""
+
+    model_type: str
+    core: dict
+    pipeline: Pipeline
+    train: TrainRecord
+    compressed: dict | None = serialize.omitted_when_none()
+
+
+def _load_model_doc(path):
+    doc = ModelDocument.from_doc(serialize.read_document(path), path)
+    return doc, serialize.model_from_doc(doc.core, path, "core")
+
+
+# ---------------------------------------------------------------------------
 # feature pipeline helpers
 
 
 def _load_spec_and_costs(resolved, recording) -> tuple[FeatureSpec, dict]:
-    if resolved.get("feature_spec"):
-        spec = FeatureSpec.from_doc(_load_json(resolved["feature_spec"]))
-    else:
-        spec = default_feature_spec(recording.n_channels, recording.fs)
-    if resolved.get("cost_table"):
-        table = _load_json(resolved["cost_table"])
-        validate_cost_table(table)
-    else:
-        table = dict(DEFAULT_COST_TABLE)
+    spec_path, table_path = resolved.get("feature_spec"), resolved.get("cost_table")
+    try:
+        spec = (FeatureSpec.from_doc(_load_json(spec_path), spec_path) if spec_path
+                else default_feature_spec(recording.n_channels, recording.fs))
+    except DataError as exc:  # a flag's file is configuration
+        raise ConfigError(str(exc)) from exc
+    table = _load_json(table_path) if table_path else dict(DEFAULT_COST_TABLE)
+    validate_cost_table(table)
     return spec, table
 
 
 def _featurize(container, resolved, stored=None):
-    """(X, y, cost_vec, pipeline_doc) from either container kind.
+    """(X, y, cost_vec, Pipeline) from either container kind.
 
     A recording is featurised with the ``stored`` pipeline of a model
-    document when that has a feature spec, else with the resolved options.
+    document when that has a feature spec, else with the resolved options;
+    a stored spec the recording cannot take is a data error.
     """
-    if isinstance(container, data.Recording):
-        if stored and stored["feature_spec"]:
-            spec = FeatureSpec.from_doc(stored["feature_spec"])
-            table = stored["cost_table"]
-        else:
-            spec, table = _load_spec_and_costs(resolved, container)
+    if not isinstance(container, data.Recording):
+        X = np.asarray(container.X, dtype=np.float64)
+        return X, container.y, np.ones(X.shape[1]), Pipeline(None, None)
+    if stored is None or stored.feature_spec is None:
+        spec, table = _load_spec_and_costs(resolved, container)
         X = extract_features(container, spec)
-        c = feature_cost_vector(spec, table)
-        pipeline = {"feature_spec": spec.to_doc(), "cost_table": table}
-        return X, container.labels, c, pipeline
-    X = np.asarray(container.X, dtype=np.float64)
-    c = np.ones(X.shape[1])
-    return X, container.y, c, {"feature_spec": None, "cost_table": None}
+    else:
+        spec, table = FeatureSpec(stored.feature_spec), stored.cost_table
+        try:
+            X = extract_features(container, spec)
+        except InvalidInputError as exc:
+            raise DataError(f"model pipeline.feature_spec: {exc}") from exc
+    c = feature_cost_vector(spec, table)
+    return X, container.labels, c, Pipeline(list(spec.entries), table)
 
 
 def _load_featurized(path, resolved, stored=None):
@@ -245,27 +296,23 @@ def _load_featurized(path, resolved, stored=None):
 def _rows(container, idx):
     """The container cut down to the rows ``idx``."""
     if isinstance(container, data.Recording):
-        return data.Recording(windows=container.windows[idx], fs=container.fs,
-                              labels=container.labels[idx], meta=container.meta)
-    return data.Dataset(X=container.X[idx], y=container.y[idx],
-                        feature_names=container.feature_names, meta=container.meta)
+        return replace(container, windows=container.windows[idx], labels=container.labels[idx])
+    return replace(container, X=container.X[idx], y=container.y[idx])
 
 
-def _stored_test_indices(train_doc, container) -> np.ndarray:
+def _stored_test_indices(train: TrainRecord, container) -> np.ndarray:
     """The model's held-out rows: on the dataset it was trained on (equal
     fingerprints) its ``train.test_indices``, which must be unique integers
     in [0, n); on any other dataset, whose rows they do not name, none."""
-    if container.fingerprint() != train_doc["dataset_fingerprint"]:
+    if container.fingerprint() != train.dataset_fingerprint:
         return np.asarray([], dtype=np.int64)
     n = len(container.labels if isinstance(container, data.Recording) else container.y)
-    stored = serialize.decode(list[int], train_doc.get("test_indices", []), "model",
-                              "train.test_indices")
-    for i in stored:
+    for i in train.test_indices:
         if not 0 <= i < n:
             raise DataError(f"model train.test_indices holds {i}, not a row index in [0, {n})")
-    if len(set(stored)) != len(stored):
+    if len(set(train.test_indices)) != len(train.test_indices):
         raise DataError("model train.test_indices repeats a row index")
-    return np.asarray(stored, dtype=np.int64)
+    return np.asarray(train.test_indices, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -327,36 +374,25 @@ def cmd_train(resolved, out):
                                cost_vec=c if cfg.lam > 0 else None,
                                n_classes=n_classes)
         predict = model.predict
-        train_cfg_doc = cfg.to_doc()
     else:
-        gcfg = GbtConfig(
+        cfg = GbtConfig(
             n_trees=resolved["n_trees"], max_depth=resolved["max_depth"],
             learning_rate=resolved["gbt_learning_rate"],
             cost_lambda=resolved["cost_lambda"]
             if resolved["model"] == "pegb" else 0.0,
         )
         model = boosting.train_gbt_multiclass(
-            X[tr_idx], y[tr_idx], gcfg,
-            cost_vec=c if gcfg.cost_lambda > 0 else None,
+            X[tr_idx], y[tr_idx], cfg,
+            cost_vec=c if cfg.cost_lambda > 0 else None,
         )
         if resolved["model"] == "pegb":
             model = boosting.quantize_model(model)
         predict = lambda Z: boosting.predict_labels(model, Z)
-        train_cfg_doc = gcfg.to_doc()
 
-    doc = serialize.new_document("model")
-    doc["model_type"] = resolved["model"]
-    doc["core"] = model.to_doc()
-    doc["pipeline"] = pipeline
-    doc["train"] = {
-        "config": train_cfg_doc,
-        "seed": seed,
-        "holdout": holdout,
-        "dataset_fingerprint": container.fingerprint(),
-        "test_indices": te_idx.tolist(),
-        "n_classes": n_classes,
-    }
-    serialize.write_document(doc, out / "model.json")
+    train = TrainRecord(cfg.to_doc(), seed, holdout, container.fingerprint(),
+                        te_idx.tolist(), n_classes)
+    doc = ModelDocument(resolved["model"], model.to_doc(), pipeline, train)
+    serialize.write_document(doc.to_doc(), out / "model.json")
 
     metrics = {"train": compute_metrics(y[tr_idx], predict(X[tr_idx]),
                                         n_classes).to_doc()}
@@ -368,36 +404,16 @@ def cmd_train(resolved, out):
           + (f" test_f1={metrics['test']['f1']:.4f}" if te_idx.size else ""))
 
 
-# the sections of a model document that ``train`` writes and ``compress`` or
-# ``eval`` reads, each with the keys it must hold; ``train.test_indices`` and
-# ``train.n_classes`` are read with defaults
-MODEL_DOC_KEYS = {"core": (), "pipeline": ("feature_spec", "cost_table"),
-                  "train": ("dataset_fingerprint", "config")}
-
-
-def _load_model_doc(path):
-    doc = serialize.read_document(path)
-    serialize.check_header(doc, "model", path)
-    for section, keys in MODEL_DOC_KEYS.items():
-        if not isinstance(doc.get(section), dict):
-            raise DataError(f"{path}: model document lacks the {section!r} object")
-        for key in keys:
-            if key not in doc[section]:
-                raise DataError(f"{path}: model document lacks {section}.{key}")
-    return doc, serialize.model_from_doc(doc["core"], path, "core")
-
-
 def cmd_compress(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     if not isinstance(model, tree_mod.ObliqueTree):
         raise ConfigError("compress applies to oblique-tree models")
-    cfg = TrainConfig.from_doc(doc["train"]["config"], resolved["model"], "train.config")
-    container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved,
-                                             doc["pipeline"])
+    cfg = TrainConfig.from_doc(doc.train.config, resolved["model"], "train.config")
+    container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved, doc.pipeline)
     lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
     ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
                      lam=lam, seed=resolved["seed"])
-    te = _stored_test_indices(doc["train"], container)
+    te = _stored_test_indices(doc.train, container)
     mask = np.ones(X.shape[0], dtype=bool)
     mask[te] = False
     model_c, report = compression.compress_pipeline(
@@ -409,12 +425,10 @@ def cmd_compress(resolved, out):
         cost_vec=c if lam > 0 else None,
     )
     report["split"] = "stored-test-fold" if te.size else "full-dataset"
-    new_doc = dict(doc)
-    new_doc["core"] = model_c.to_doc()
-    new_doc["compressed"] = {"sparsity": resolved["sparsity"],
-                             "share_bits": resolved["share_bits"],
-                             "finetune_epochs": resolved["epochs"]}
-    serialize.write_document(new_doc, out / "model.json")
+    compressed = {"sparsity": resolved["sparsity"], "share_bits": resolved["share_bits"],
+                  "finetune_epochs": resolved["epochs"]}
+    doc = replace(doc, core=model_c.to_doc(), compressed=compressed)
+    serialize.write_document(doc.to_doc(), out / "model.json")
     _write_json(report, out / "report.json")
     print(f"wrote {out / 'model.json'} ratio={report['ratio']:.2f} "
           f"acc {report['acc_before']:.4f}->{report['acc_after']:.4f}")
@@ -424,17 +438,17 @@ def cmd_eval(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     container = data.load_container(resolved["dataset"])
     y = container.labels if isinstance(container, data.Recording) else container.y
-    n_classes = doc["train"].get("n_classes", int(y.max()) + 1)
-    if type(n_classes) is not int or y.max() >= n_classes:  # no bool; labels are >= 0
+    n_classes = int(y.max()) + 1 if doc.train.n_classes is None else doc.train.n_classes
+    if y.max() >= n_classes:  # labels are >= 0
         raise DataError(f"{resolved['model']}: train.n_classes is {n_classes!r}, "
                         f"the dataset has {int(y.max()) + 1} classes")
-    te = _stored_test_indices(doc["train"], container)
+    te = _stored_test_indices(doc.train, container)
     if te.size:
         # only the stored test fold is scored, so only it is featurised
-        X_eval, y_eval, c, _ = _featurize(_rows(container, te), resolved, doc["pipeline"])
+        X_eval, y_eval, c, _ = _featurize(_rows(container, te), resolved, doc.pipeline)
         split = "stored-test-fold"
     else:
-        X_eval, y_eval, c, _ = _featurize(container, resolved, doc["pipeline"])
+        X_eval, y_eval, c, _ = _featurize(container, resolved, doc.pipeline)
         split = "full-dataset"
     if isinstance(model, tree_mod.ObliqueTree):
         labels = model.predict(X_eval)

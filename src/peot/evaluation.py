@@ -144,12 +144,6 @@ class CVResult:
     f1_mean: float
     f1_std: float
 
-    def to_doc(self) -> dict:
-        return {
-            "folds": [m.to_doc() for m in self.fold_metrics],
-            "f1_mean": self.f1_mean, "f1_std": self.f1_std,
-        }
-
 
 def cross_validate(X, y, fit, predict, k: int = 5, scheme: str = "blocks",
                    seed: int = 0, fingerprint: str | None = None) -> CVResult:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .data import Recording
 from .errors import ConfigError, InvalidInputError
 
@@ -50,12 +51,12 @@ def _read_only(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FeatureEntry:
+class FeatureEntry(serialize.Stored):
     """One column of the global feature space: a feature of one channel."""
 
     channel: int
     kind: str
-    band: tuple[float, float] | None = None
+    band: tuple[float, float] | None = serialize.omitted_when_none()
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
@@ -159,29 +160,11 @@ class FeatureSpec:
                 _read_only(columns), per_block)
 
     def to_doc(self) -> list[dict]:
-        out = []
-        for e in self.entries:
-            d = {"channel": e.channel, "kind": e.kind}
-            if e.band is not None:
-                d["band"] = list(e.band)
-            out.append(d)
-        return out
+        return [e.to_doc() for e in self.entries]
 
     @classmethod
-    def from_doc(cls, doc) -> "FeatureSpec":
-        if not isinstance(doc, list):
-            raise ConfigError("feature spec document must be a JSON list")
-        entries = []
-        for item in doc:
-            try:
-                band = tuple(item["band"]) if "band" in item else None
-                entries.append(
-                    FeatureEntry(channel=int(item["channel"]),
-                                 kind=str(item["kind"]), band=band)
-                )
-            except (KeyError, TypeError, InvalidInputError) as exc:
-                raise ConfigError(f"bad feature spec entry {item!r}: {exc}") from exc
-        return cls(entries=entries)
+    def from_doc(cls, doc, path="<doc>", key="") -> "FeatureSpec":
+        return cls(serialize.decode(list[FeatureEntry], doc, path, key))
 
 
 def default_feature_spec(n_channels: int, fs: float,
@@ -337,12 +320,10 @@ def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
 def feature_cost_vector(spec: FeatureSpec, table: dict) -> np.ndarray:
     """Per-feature-column extraction cost, priced from the cost table."""
     validate_cost_table(table)
-    costs = np.empty(spec.n_features, dtype=np.float64)
-    for j, entry in enumerate(spec.entries):
-        if entry.kind not in table:
-            raise ConfigError(f"cost table does not price kind {entry.kind!r}")
-        costs[j] = float(table[entry.kind])
-    return costs
+    unpriced = [e.kind for e in spec.entries if e.kind not in table]
+    if unpriced:
+        raise ConfigError(f"cost table does not price kind {unpriced[0]!r}")
+    return np.array([table[e.kind] for e in spec.entries], dtype=np.float64)
 
 
 def validate_cost_table(table: dict) -> None:
@@ -351,5 +332,5 @@ def validate_cost_table(table: dict) -> None:
     for kind, cost in table.items():
         if kind not in FEATURE_KINDS:
             raise ConfigError(f"cost table prices unknown kind {kind!r}")
-        if not float(cost) > 0:
-            raise ConfigError(f"cost for {kind!r} must be > 0, got {cost!r}")
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not cost > 0:
+            raise ConfigError(f"cost for {kind!r} must be a number > 0, got {cost!r}")

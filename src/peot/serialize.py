@@ -8,9 +8,11 @@ declares its dtype in memory and, where it differs, on disk (a prune mask is
 bool in memory, uint8 on disk); the stored dtype must be the disk dtype, and
 an array field without one keeps the stored dtype.  ``int``, ``float``,
 ``str``, ``dict`` and ``list[T]`` are that JSON type (an int is no bool or
-fraction; a float may be stored as an int); a ``Stored`` class is its nested
-document, and ``T | None`` is T or null.  A key may be absent when its field
-has a default, except an array's.  A class declared with a kind stores the
+fraction; a float may be stored as an int); ``tuple[A, B]`` is a JSON list of
+exactly those items; a ``Stored`` class is its nested document, and
+``T | None`` is T or null.  A key may be absent when its field has a default,
+except an array's; a field declared by ``omitted_when_none`` is left out of
+the document while it is None.  A class declared with a kind stores the
 ``format``/``version``/``kind`` header.  Any decode failure (a missing key, a
 wrong type or dtype, the constructor rejecting the values) is a ``DataError``
 naming the file and key path, such as ``model.json: core.trees[0].feature``.
@@ -30,7 +32,7 @@ import typing
 
 import numpy as np
 
-from .errors import DataError, InvalidInputError
+from .errors import ConfigError, DataError, InvalidInputError
 
 FORMAT_NAME = "peot"
 FORMAT_VERSION = 1
@@ -84,12 +86,6 @@ def read_document(path) -> dict:
     return doc
 
 
-def check_header(doc: dict, expected_kind: str, path="<doc>") -> None:
-    for key, expected in new_document(expected_kind).items():
-        if doc.get(key) != expected:
-            raise DataError(f"{path}: expected {key} {expected!r}, found {doc.get(key)!r}")
-
-
 def new_document(kind: str) -> dict:
     return {"format": FORMAT_NAME, "version": FORMAT_VERSION, "kind": kind}
 
@@ -139,16 +135,23 @@ def array_field(dtype=None, disk=None, **kwargs):
     return dataclasses.field(metadata=metadata, **kwargs)
 
 
+def omitted_when_none():
+    """A dataclass field defaulting to None, and left out of the document while None."""
+    return dataclasses.field(default=None, metadata={"omitted_when_none": True})
+
+
 def encode(value, disk=None):
     """The document of a ``Stored`` object, or of one field's value."""
     if isinstance(value, Stored):
         doc = new_document(value.KIND) if value.KIND else {}
         for f in dataclasses.fields(value):
-            doc[f.name] = encode(getattr(value, f.name), f.metadata.get("disk"))
+            v = getattr(value, f.name)
+            if v is not None or not f.metadata.get("omitted_when_none"):
+                doc[f.name] = encode(v, f.metadata.get("disk"))
         return doc
     if isinstance(value, np.ndarray):
         return encode_array(value if disk is None else value.astype(disk, copy=False))
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     return value
 
@@ -166,17 +169,24 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
         return decode_array(value, metadata.get("dtype"), metadata.get("disk"), where)
     if origin is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
-    json_type = origin if origin in _JSON_NAMES else dict  # a Stored class: dict
+    # a tuple is stored as a list, a Stored class as an object
+    json_type = list if origin is tuple else origin if origin in _JSON_NAMES else dict
     if type(value) is not json_type:  # so a bool is not an int
         raise DataError(f"{where}: expected {_JSON_NAMES[json_type]}, "
                         f"found {reprlib.repr(value)}")
-    if origin is list:
-        (item,) = typing.get_args(kind)
-        return [decode(item, v, path, f"{key}[{i}]") for i, v in enumerate(value)]
+    if origin in (list, tuple):
+        # list[T] holds any number of T, tuple[A, B] exactly an A and a B
+        items = typing.get_args(kind) * (len(value) if origin is list else 1)
+        if len(items) != len(value):
+            raise DataError(f"{where}: expected a JSON list of {len(items)} items, "
+                            f"found {reprlib.repr(value)}")
+        return origin(decode(item, v, path, f"{key}[{i}]")
+                      for i, (item, v) in enumerate(zip(items, value)))
     if not issubclass(origin, Stored):
         return value
-    if origin.KIND:
-        check_header(value, origin.KIND, where)
+    for name, expected in new_document(origin.KIND).items() if origin.KIND else ():
+        if value.get(name) != expected:
+            raise DataError(f"{where}: expected {name} {expected!r}, found {value.get(name)!r}")
     values = {}
     for name, field_kind, field_metadata, optional in _layout(origin):
         sub = f"{key}.{name}" if key else name
@@ -186,7 +196,7 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
             raise DataError(f"{path}: {sub} is missing")
     try:
         return origin(**values)
-    except (InvalidInputError, DataError) as exc:
+    except (InvalidInputError, ConfigError, DataError) as exc:
         raise DataError(f"{where}: {exc}") from exc
 
 
