@@ -51,7 +51,7 @@ def files(tmp_path_factory):
         assert _quiet(["compress", "--model", str(models[prefix + "peot"]), "--dataset",
                        str(dataset), "--epochs", "1", "--out", str(d)]) == 0
         models[prefix + "compressed"] = d / "model.json"
-    return {"recording": recording, "matrix": matrix, "models": models}
+    return {"recording": recording, "models": models}
 
 
 def _at(doc, where):
@@ -75,12 +75,12 @@ def _edited(doc, where, value):
     return doc
 
 
-def _run(command, doc, dataset, tmp_path, *flags):
+def _run(command, doc, dataset, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     extra = ["--epochs", "1"] if command == "compress" else []
     code = _quiet([command, "--model", str(path), "--dataset", str(dataset), *extra,
-                   *flags, "--out", str(tmp_path / "out")])
+                   "--out", str(tmp_path / "out")])
     return code, path
 
 
@@ -179,8 +179,7 @@ def test_a_malformed_gbt_model_document_exits_data(files, tmp_path, capsys):
 # the same spec or table given by flag is configuration
 
 
-def _flag_file(tmp_path, doc):
-    path = tmp_path / "flag.json"
+def _write(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -208,7 +207,7 @@ TABLE_FLAGS = {
 def test_a_bad_spec_or_table_given_by_flag_exits_config(files, flag, doc, tmp_path, capsys):
     out = tmp_path / "out"
     code = _quiet(["train", "--dataset", str(files["recording"]), "--epochs", "1",
-                   flag, _flag_file(tmp_path, doc), "--out", str(out)])
+                   flag, _write(tmp_path / "flag.json", doc), "--out", str(out)])
     assert code == EXIT_CONFIG
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["error"] == "config"
@@ -221,8 +220,8 @@ def test_a_spec_given_by_flag_is_stored_and_read_back(files, tmp_path):
     table = {"band_power": 20, "line_length": 1.0, "variance": 2}
     out = tmp_path / "out"
     assert _quiet(["train", "--dataset", str(files["recording"]), "--epochs", "1",
-                   "--feature-spec", _flag_file(tmp_path, spec), "--cost-table",
-                   str(_write(tmp_path / "table.json", table)), "--out", str(out)]) == 0
+                   "--feature-spec", _write(tmp_path / "spec.json", spec), "--cost-table",
+                   _write(tmp_path / "table.json", table), "--out", str(out)]) == 0
     stored = json.loads((out / "model.json").read_text())["pipeline"]
     assert stored["feature_spec"] == [
         {"channel": 1, "kind": "band_power", "band": [8.0, 12.0]},
@@ -230,11 +229,6 @@ def test_a_spec_given_by_flag_is_stored_and_read_back(files, tmp_path):
     assert json.dumps(stored["cost_table"]) == json.dumps(table, sort_keys=True)
     assert _quiet(["eval", "--model", str(out / "model.json"), "--dataset",
                    str(files["recording"]), "--out", str(tmp_path / "eval")]) == 0
-
-
-def _write(path, doc):
-    path.write_text(json.dumps(doc))
-    return path
 
 
 @pytest.mark.parametrize("cost", ["abc", True, False, None, [1.0], 0, -1.0, float("nan")])
