@@ -18,9 +18,14 @@ wrong type or dtype, the constructor rejecting the values) is a ``DataError``
 naming the file and key path, such as ``model.json: core.trees[0].feature``.
 Documents are ASCII with sorted keys and fixed separators, so saving an
 object twice gives the same bytes.
+
+Array payloads are read, written and hashed from the buffers already held:
+base64 runs on the array itself and back from the stored string, the
+fingerprint hashes the array, and ``write_document`` streams the encoding
+to the file in bounded slices, so a document is never joined in memory.
 """
 
-import base64
+import binascii
 import dataclasses
 import functools
 import hashlib
@@ -37,6 +42,11 @@ from .errors import ConfigError, DataError, InvalidInputError
 FORMAT_NAME = "peot"
 FORMAT_VERSION = 1
 
+# the canonical encoding: ASCII, sorted keys, no whitespace
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# characters handed to the text file per write: bounds its encoded copy
+_WRITE_SLICE = 1 << 20
+
 
 def encode_array(arr: np.ndarray) -> dict:
     arr = np.ascontiguousarray(arr)
@@ -46,7 +56,7 @@ def encode_array(arr: np.ndarray) -> dict:
     return {
         "dtype": dt.str,
         "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
+        "data": binascii.b2a_base64(arr, newline=False).decode("ascii"),
     }
 
 
@@ -54,7 +64,7 @@ def decode_array(doc: dict, dtype=None, disk=None, where="<doc>") -> np.ndarray:
     """The array stored in ``doc``, as ``dtype``; with ``disk`` set, the
     stored dtype must be ``disk``."""
     try:
-        raw = base64.b64decode(doc["data"])
+        raw = binascii.a2b_base64(doc["data"])
         arr = np.frombuffer(raw, dtype=np.dtype(doc["dtype"])).reshape(doc["shape"])
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"{where}: malformed array document: {exc}") from exc
@@ -65,12 +75,18 @@ def decode_array(doc: dict, dtype=None, disk=None, where="<doc>") -> np.ndarray:
 
 
 def dumps_canonical(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(doc) + "\n"
 
 
 def write_document(doc: dict, path) -> None:
+    """Write ``dumps_canonical(doc)`` to ``path``, chunk by chunk as the
+    encoder yields them, each in slices of at most ``_WRITE_SLICE``
+    characters, so neither the joined text nor its encoding is held."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(doc))
+        for chunk in _ENCODER.iterencode(doc):
+            for start in range(0, len(chunk), _WRITE_SLICE):
+                fh.write(chunk[start:start + _WRITE_SLICE])
+        fh.write("\n")
 
 
 def read_document(path) -> dict:
@@ -97,7 +113,7 @@ def fingerprint_arrays(*arrays: np.ndarray) -> str:
         arr = np.ascontiguousarray(arr)
         h.update(str(arr.dtype.str).encode())
         h.update(str(arr.shape).encode())
-        h.update(arr.tobytes())
+        h.update(arr)
     return h.hexdigest()
 
 
@@ -167,13 +183,15 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
     origin = typing.get_origin(kind) or kind
     if origin is np.ndarray:
         return decode_array(value, metadata.get("dtype"), metadata.get("disk"), where)
-    if origin is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
+    if origin is float:
+        value = _widened(value)
     # a tuple is stored as a list, a Stored class as an object
     json_type = list if origin is tuple else origin if origin in _JSON_NAMES else dict
     if type(value) is not json_type:  # so a bool is not an int
         raise DataError(f"{where}: expected {_JSON_NAMES[json_type]}, "
                         f"found {reprlib.repr(value)}")
+    if origin is list and typing.get_args(kind) in _SCALAR_ITEMS:
+        return _decode_scalars(*typing.get_args(kind), value, path, key)
     if origin in (list, tuple):
         # list[T] holds any number of T, tuple[A, B] exactly an A and a B
         items = typing.get_args(kind) * (len(value) if origin is list else 1)
@@ -221,6 +239,25 @@ def _layout(cls) -> tuple:
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a JSON list", dict: "a JSON object"}
+_SCALAR_ITEMS = ((int,), (float,), (str,))  # the item types of one-pass lists
+
+
+def _widened(value):
+    """A float field's value: an int (not a bool) within range reads as a float."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    return value
+
+
+def _decode_scalars(item, value: list, path, key) -> list:
+    """A ``list[item]`` of int, float or str, type-checked in one pass; the
+    error names the first bad item, as its own ``decode`` would."""
+    items = [_widened(v) for v in value] if item is float else list(value)
+    for i, v in enumerate(items):
+        if type(v) is not item:
+            raise DataError(f"{_where(path, f'{key}[{i}]')}: expected "
+                            f"{_JSON_NAMES[item]}, found {reprlib.repr(v)}")
+    return items
 
 
 def _where(path, key) -> str:
