@@ -126,11 +126,8 @@ class FeatureSpec:
 
         Returns ``(scalar, channels, bands, columns, per_block)``:
 
-        * ``scalar``: ``(kind, columns, rows)`` for line length and for
-          variance, where the spec has the kind: its columns, and its
-          channels in the same order, as a slice when they are consecutive
-          and ascending (a window's block is then a view) or else an index
-          array;
+        * ``scalar``: ``(column, channel, kind)`` for every line-length and
+          variance entry, in column order;
         * ``channels``: every band-power channel once, band by band;
         * ``bands``: ``(band, rows)`` per band, in order of first use, where
           ``rows`` are the band's channels as positions in ``channels``, or
@@ -143,20 +140,12 @@ class FeatureSpec:
 
         The index arrays are read-only.
         """
-        by_kind, by_band = {LINE_LENGTH: [], VARIANCE: []}, {}
+        scalar, by_band = [], {}
         for j, e in enumerate(self.entries):
             if e.kind == BAND_POWER:
                 by_band.setdefault(e.band, []).append(j)
             else:
-                by_kind[e.kind].append(j)
-        scalar = []
-        for kind, cols in by_kind.items():
-            if not cols:
-                continue
-            rows = [self.entries[j].channel for j in cols]
-            run = slice(rows[0], rows[0] + len(rows))
-            consecutive = rows == list(range(run.start, run.stop))
-            scalar.append((kind, _read_only(cols), run if consecutive else _read_only(rows)))
+                scalar.append((j, e.channel, e.kind))
         channels = list(dict.fromkeys(self.entries[j].channel
                                       for cols in by_band.values() for j in cols))
         bands = []
@@ -195,44 +184,30 @@ def default_feature_spec(n_channels: int, fs: float,
 # feature kernels
 
 
-def _window(samples, name: str) -> np.ndarray:
-    """``samples`` as a C-ordered float64 window of L >= 2 samples, or a
-    (c, L) block of c such windows, one per row."""
-    x = np.ascontiguousarray(samples, dtype=np.float64)
-    if x.ndim == 2 and x.shape[1] >= 2:
-        return x
-    if x.ndim != 1 or x.size < 2:
-        raise InvalidInputError(f"{name} needs a 1-D window of >= 2 samples "
-                                "or a (c, L) block with L >= 2")
-    return x
-
-
-def line_length(samples):
+def line_length(samples) -> float:
     """Mean absolute first difference, (1/d) * sum |x[n] - x[n-1]|.
 
-    A 1-D window gives a float; a (c, L) block gives the c values of its
-    rows.  It runs the steps of ``np.sum(np.abs(np.diff(x))) / x.size``
-    without their Python wrappers, so the value is bit-identical to that
-    expression: the block is C-ordered, so each row is summed pairwise on
-    its own, as a 1-D window is.
+    It runs the steps of ``np.sum(np.abs(np.diff(x))) / x.size`` without
+    their Python wrappers, so the value is bit-identical to that expression.
     """
-    x = _window(samples, "line_length")
-    r = np.abs(x[..., 1:] - x[..., :-1]).sum(axis=-1) / x.shape[-1]
-    return r if x.ndim == 2 else float(r)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidInputError("line_length needs a 1-D window of >= 2 samples")
+    return float(np.abs(x[1:] - x[:-1]).sum() / x.size)
 
 
-def variance(samples):
+def variance(samples) -> float:
     """Population variance of the window.
 
-    A 1-D window gives a float; a (c, L) block gives the c variances of its
-    rows.  It runs ``np.var``'s own steps (sum, divide, subtract, square,
-    sum, divide) without its Python wrappers, so each value is
-    bit-identical to ``np.var`` of its row.
+    It runs ``np.var``'s own steps (sum, divide, subtract, square, sum,
+    divide) without its Python wrappers, so the value is bit-identical to
+    ``np.var(x)``.
     """
-    x = _window(samples, "variance")
-    d = x - x.sum(axis=-1, keepdims=True) / x.shape[-1]
-    r = (d * d).sum(axis=-1) / x.shape[-1]
-    return r if x.ndim == 2 else float(r)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1 or x.size < 2:
+        raise InvalidInputError("variance needs a 1-D window of >= 2 samples")
+    d = x - x.sum() / x.size
+    return float((d * d).sum() / x.size)
 
 
 @functools.lru_cache
@@ -316,23 +291,22 @@ def band_power(samples, fs: float, lo: float, hi: float,
 def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
     """Feature matrix: one row per window, one column per spec entry.
 
-    Line length and variance each call their kernel once per window, on
-    the (c, L) block of that window's channels of the kind (a view when
-    they are consecutive).  Band power runs over blocks of windows: each
-    block gathers the band-power channels once and runs every band on them.
-    Every value equals what the kernel gives for that window and channel
-    alone.  The grouping of the columns by kernel is the spec's, computed
-    once per spec.
+    Line length and variance call their kernel once per window and column.
+    Band power runs over blocks of windows: each block gathers the
+    band-power channels once and runs every band on them; every value
+    equals what ``band_power`` gives for that window.  The grouping of the
+    columns by kernel is the spec's, computed once per spec.
     """
     spec.validate_for(recording.n_channels, recording.fs)
     windows = recording.windows
     n, _, size = windows.shape
     out = np.empty((n, spec.n_features), dtype=np.float64)
     scalar, channels, bands, columns, per_block = spec._groups
-    for kind, cols, rows in scalar:
+    for j, ch, kind in scalar:
         kernel = line_length if kind == LINE_LENGTH else variance
+        channel = windows[:, ch, :]
         for i in range(n):
-            out[i, cols] = kernel(windows[i, rows])
+            out[i, j] = kernel(channel[i])
     if not bands or not n:
         return out
     _check_band_power_length(size, FIR_ORDER)

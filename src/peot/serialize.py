@@ -183,15 +183,13 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
     origin = typing.get_origin(kind) or kind
     if origin is np.ndarray:
         return decode_array(value, metadata.get("dtype"), metadata.get("disk"), where)
-    if origin is float:
-        value = _widened(value)
+    if origin is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
     # a tuple is stored as a list, a Stored class as an object
     json_type = list if origin is tuple else origin if origin in _JSON_NAMES else dict
     if type(value) is not json_type:  # so a bool is not an int
         raise DataError(f"{where}: expected {_JSON_NAMES[json_type]}, "
                         f"found {reprlib.repr(value)}")
-    if origin is list and typing.get_args(kind) in _SCALAR_ITEMS:
-        return _decode_scalars(*typing.get_args(kind), value, path, key)
     if origin in (list, tuple):
         # list[T] holds any number of T, tuple[A, B] exactly an A and a B
         items = typing.get_args(kind) * (len(value) if origin is list else 1)
@@ -239,25 +237,6 @@ def _layout(cls) -> tuple:
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a JSON list", dict: "a JSON object"}
-_SCALAR_ITEMS = ((int,), (float,), (str,))  # the item types of one-pass lists
-
-
-def _widened(value):
-    """A float field's value: an int (not a bool) within range reads as a float."""
-    if type(value) is int and abs(value) <= sys.float_info.max:
-        return float(value)
-    return value
-
-
-def _decode_scalars(item, value: list, path, key) -> list:
-    """A ``list[item]`` of int, float or str, type-checked in one pass; the
-    error names the first bad item, as its own ``decode`` would."""
-    items = [_widened(v) for v in value] if item is float else list(value)
-    for i, v in enumerate(items):
-        if type(v) is not item:
-            raise DataError(f"{_where(path, f'{key}[{i}]')}: expected "
-                            f"{_JSON_NAMES[item]}, found {reprlib.repr(v)}")
-    return items
 
 
 def _where(path, key) -> str:

@@ -257,7 +257,7 @@ def test_a_load_holds_no_ascii_copy_of_the_payload(seizure_sized):
 
 
 # ---------------------------------------------------------------------------
-# one-pass decode of scalar lists
+# decode of scalar lists
 
 
 @pytest.mark.parametrize("kind, value, bad, expected", [
