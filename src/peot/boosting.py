@@ -27,7 +27,7 @@ from scipy.special import expit
 from . import serialize
 from .compression import fit_format, quantize_values
 from .errors import InvalidInputError
-from .tree import training_set
+from .tree import cost_vector, feature_batch, training_set
 
 PROB_CLAMP = 1e-6
 
@@ -140,11 +140,7 @@ class GbtEnsemble(serialize.Stored, kind="gbt-ensemble"):
         return [self]
 
     def margins(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise InvalidInputError(
-                f"expected {self.n_features} feature columns, got {X.shape}"
-            )
+        X = feature_batch(X, self.n_features)
         m = np.full(X.shape[0], self.base_score)
         for t in self.trees:
             m += self.learning_rate * t.leaf_values(X)
@@ -390,13 +386,10 @@ def predict_labels(model: GbtOvR, X) -> np.ndarray:
 def model_power(model: GbtOvR, X, cost_vec) -> float:
     """Mean per-sample cost of the features read on the visited paths of
     every member, each feature priced once per sample."""
-    X = np.asarray(X, dtype=np.float64)
-    c = np.asarray(cost_vec, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != model.n_features:
-        raise InvalidInputError(f"model_power needs a nonempty matrix of "
-                                f"{model.n_features} columns, got {X.shape}")
-    if c.shape != (model.n_features,):
-        raise InvalidInputError("cost vector length must equal feature count")
+    X = feature_batch(X, model.n_features)
+    if X.shape[0] == 0:
+        raise InvalidInputError("model_power needs a nonempty dataset")
+    c = cost_vector(cost_vec, model.n_features)
     used = np.zeros(X.shape, dtype=bool)
     for e in model.ensembles:
         for t in e.trees:

@@ -10,8 +10,10 @@ as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
 codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  A bad
 flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2.  A
-malformed ``dataset.json`` or ``model.json`` exits 3, and so does a stored
-pipeline that is malformed or does not fit the recording it featurises.
+malformed ``dataset.json`` or ``model.json`` exits 3 (a non-finite feature
+or sample is malformed), and so does a stored pipeline that is malformed or
+does not fit the recording it featurises, or a feature matrix whose column
+count is not the model's.
 """
 
 import argparse
@@ -287,6 +289,13 @@ def _featurize(container, resolved, stored=None):
     return X, container.labels, c, Pipeline(list(spec.entries), table)
 
 
+def _check_fits(X, model, path) -> None:
+    """A feature matrix without the model's column count is a data error."""
+    if X.shape[1] != model.n_features:
+        raise DataError(f"{path}: {X.shape[1]} feature columns, "
+                        f"the model reads {model.n_features}")
+
+
 def _load_featurized(path, resolved, stored=None):
     container = data.load_container(path)
     X, y, c, pipeline = _featurize(container, resolved, stored)
@@ -410,6 +419,7 @@ def cmd_compress(resolved, out):
         raise ConfigError("compress applies to oblique-tree models")
     cfg = TrainConfig.from_doc(doc.train.config, resolved["model"], "train.config")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved, doc.pipeline)
+    _check_fits(X, model, resolved["dataset"])
     lam = resolved["lam"] if resolved["lam"] is not None else cfg.lam
     ft_cfg = replace(cfg, epochs=resolved["epochs"], warmup_epochs=0,
                      lam=lam, seed=resolved["seed"])
@@ -450,6 +460,7 @@ def cmd_eval(resolved, out):
     else:
         X_eval, y_eval, c, _ = _featurize(container, resolved, doc.pipeline)
         split = "full-dataset"
+    _check_fits(X_eval, model, resolved["dataset"])
     if isinstance(model, tree_mod.ObliqueTree):
         labels = model.predict(X_eval)
         extra = {

@@ -82,6 +82,8 @@ class Dataset(serialize.Stored, kind="dataset"):
             raise InvalidInputError("one label per row required")
         if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:
             raise InvalidInputError("feature_names length must match X columns")
+        if np.issubdtype(self.X.dtype, np.inexact) and not np.isfinite(self.X).all():
+            raise DataError("dataset contains non-finite feature values")
         _check_labels(self.y)
 
     @property
@@ -128,9 +130,10 @@ def _read_binary(path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if raw[:2] == b"\x1f\x8b":
         import gzip
+        import zlib
         try:
             raw = gzip.decompress(raw)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:  # bad header, cut short, bad data
             raise DataError(f"{path}: bad gzip stream ({exc})") from exc
     return raw
 
@@ -292,7 +295,7 @@ def ingest_csv(signal_path, labels_path, window_len: int,
     labels = np.zeros(windows.shape[0], dtype=np.int64)
     for idx in range(windows.shape[0]):
         if idx not in label_map:
-            raise DataError(f"missing label for window {idx}")
+            raise DataError(f"{labels_path}: missing label for window {idx}")
         labels[idx] = label_map[idx]
     return Recording(windows=windows, fs=fs, labels=labels,
                      meta={"source": "csv", "overlap": overlap})

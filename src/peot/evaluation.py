@@ -273,7 +273,6 @@ TASK_BENCHMARK_PRESETS: dict[str, dict] = {
 def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
                      seed: int = 0, fingerprint: str | None = None,
                      gbt_config: GbtConfig | None = None,
-                     pegb_config: GbtConfig | None = None,
                      peot_config: TrainConfig | None = None,
                      peot_sparsity: float = 0.9,
                      peot_share_bits: int = 4,
@@ -281,8 +280,9 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
                      provenance: str = "synthetic") -> dict:
     """Compare GBT / PEGB / PEOT on identical folds.
 
-    PEGB is the cost-penalized, 10/3-bit-quantized boosted ensemble; PEOT is
-    the cost-regularized oblique tree run through the prune/share pipeline.
+    PEGB is ``gbt_config`` with the feature-cost penalty ``cost_lambda=0.5``,
+    quantized to 10/3 bits; PEOT is the cost-regularized oblique tree run
+    through the prune/share pipeline.
     Sizes and power are normalized to the GBT baseline row (exactly 1.0).
     """
     X = np.asarray(X, dtype=np.float64)
@@ -290,7 +290,7 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
     c = np.asarray(cost_vec, dtype=np.float64)
     n_classes = int(y.max()) + 1
     gbt_config = gbt_config or GbtConfig()
-    pegb_config = pegb_config or replace(gbt_config, cost_lambda=0.5)
+    pegb_config = replace(gbt_config, cost_lambda=0.5)
     peot_config = peot_config or TrainConfig(depth=2, hidden=4, lam=0.1)
 
     def row(fit, predict, power, accounting):

@@ -167,14 +167,14 @@ class FeatureSpec:
         return cls(serialize.decode(list[FeatureEntry], doc, path, key))
 
 
-def default_feature_spec(n_channels: int, fs: float,
-                         bands=DEFAULT_BANDS) -> FeatureSpec:
-    """Line-length, variance, and one band-power per band, for each channel."""
+def default_feature_spec(n_channels: int, fs: float) -> FeatureSpec:
+    """Line-length, variance, and one band-power per band of ``DEFAULT_BANDS``
+    below fs/2, for each channel."""
     entries = []
     for ch in range(n_channels):
         entries.append(FeatureEntry(ch, LINE_LENGTH))
         entries.append(FeatureEntry(ch, VARIANCE))
-        for lo, hi in bands:
+        for lo, hi in DEFAULT_BANDS:
             if hi < fs / 2.0:
                 entries.append(FeatureEntry(ch, BAND_POWER, (lo, hi)))
     return FeatureSpec(entries=entries)
@@ -211,11 +211,10 @@ def variance(samples) -> float:
 
 
 @functools.lru_cache
-def design_bandpass(lo: float, hi: float, fs: float,
-                    order: int = FIR_ORDER) -> np.ndarray:
+def design_bandpass(lo: float, hi: float, fs: float) -> np.ndarray:
     """Windowed-sinc band-pass taps (difference of sincs, Hamming window).
 
-    The impulse response is symmetric (linear phase), length ``order + 1``.
+    The impulse response is symmetric (linear phase), length ``FIR_ORDER + 1``.
     Taps are designed once per argument tuple and cached; the returned
     array is shared between callers and read-only.
     """
@@ -223,21 +222,21 @@ def design_bandpass(lo: float, hi: float, fs: float,
         raise InvalidInputError(
             f"band ({lo}, {hi}) must satisfy 0 < lo < hi < fs/2 = {fs / 2}"
         )
-    n = np.arange(order + 1) - order / 2.0
+    n = np.arange(FIR_ORDER + 1) - FIR_ORDER / 2.0
 
     def lowpass(fc):
         r = 2.0 * fc / fs
         return r * np.sinc(r * n)
 
-    taps = (lowpass(hi) - lowpass(lo)) * np.hamming(order + 1)
+    taps = (lowpass(hi) - lowpass(lo)) * np.hamming(FIR_ORDER + 1)
     taps.flags.writeable = False
     return taps
 
 
-def _check_band_power_length(size: int, order: int) -> None:
-    if size < order + 1:
+def _check_band_power_length(size: int) -> None:
+    if size < FIR_ORDER + 1:
         raise InvalidInputError(
-            f"band_power needs at least {order + 1} samples, got {size}"
+            f"band_power needs at least {FIR_ORDER + 1} samples, got {size}"
         )
 
 
@@ -253,7 +252,7 @@ def _band_powers(block: np.ndarray, bands) -> np.ndarray:
     laid end to end.  Each kept output is the same full-overlap dot product
     a per-row convolution computes: row r's kept outputs start at output
     ``r * L``.  The outputs in between mix two rows; they stand where the
-    ``order`` warm-up samples of the later row would, and are dropped.  The
+    ``FIR_ORDER`` warm-up samples of the later row would, and are dropped.  The
     kept outputs of every band are squared into one buffer, and its means
     run ``np.mean``'s own sum and divide, so each is bit-identical to it.
     """
@@ -272,19 +271,18 @@ def _band_powers(block: np.ndarray, bands) -> np.ndarray:
     return squares.sum(axis=2) / width
 
 
-def band_power(samples, fs: float, lo: float, hi: float,
-               order: int = FIR_ORDER) -> float:
+def band_power(samples, fs: float, lo: float, hi: float) -> float:
     """Mean squared band-pass filter output, warm-up samples discarded.
 
-    The first ``order`` filter outputs depend on the implicit zero history
+    The first ``FIR_ORDER`` filter outputs depend on the implicit zero history
     and are dropped rather than zero-padded, so short windows are not
     biased by the edge transient.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidInputError("band_power needs a 1-D window")
-    _check_band_power_length(x.size, order)
-    taps = design_bandpass(lo, hi, fs, order)
+    _check_band_power_length(x.size)
+    taps = design_bandpass(lo, hi, fs)
     return float(_band_powers(x[None, None, :], [(taps, None)])[0, 0])
 
 
@@ -309,7 +307,7 @@ def extract_features(recording: Recording, spec: FeatureSpec) -> np.ndarray:
             out[i, j] = kernel(channel[i])
     if not bands or not n:
         return out
-    _check_band_power_length(size, FIR_ORDER)
+    _check_band_power_length(size)
     taps = [(design_bandpass(*band, recording.fs), rows) for band, rows in bands]
     for start in range(0, n, per_block):
         block = windows[start:start + per_block, channels, :]

@@ -21,9 +21,10 @@ from .errors import InvalidInputError
 
 TASKS = ("seizure", "tremor", "finger")
 
-DEFAULT_CHANNELS = 4
-DEFAULT_FS = 256.0
-DEFAULT_WINDOW = 256
+# every recording: 4 channels of 256-sample windows at 256 Hz
+N_CHANNELS = 4
+FS = 256.0
+WINDOW_LEN = 256
 
 N_FINGER_CLASSES = 5
 # rhythm frequency for finger classes 0-3 (class 4 is quiescent); each class
@@ -36,66 +37,61 @@ AMPLITUDE_JITTER = (0.85, 1.25)
 _NOTE_BLOCK = 64
 
 
-def _burst_envelope(rng, window_len, lo=0.6, hi=0.95):
+def _burst_envelope(rng, lo=0.6, hi=0.95):
     """Contiguous on-region covering a uniform fraction of the window."""
-    length = int(rng.uniform(lo, hi) * window_len)
-    start = rng.integers(0, window_len - length + 1)
-    env = np.zeros(window_len)
+    length = int(rng.uniform(lo, hi) * WINDOW_LEN)
+    start = rng.integers(0, WINDOW_LEN - length + 1)
+    env = np.zeros(WINDOW_LEN)
     env[start:start + length] = 1.0
     return env
 
 
-def _oscillation(rng, freq, fs, window_len, amplitude):
-    t = np.arange(window_len) / fs
+def _oscillation(rng, freq, amplitude):
+    t = np.arange(WINDOW_LEN) / FS
     return amplitude * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
 
 
-def synth_recording(task: str, n_windows: int, seed: int,
-                    n_channels: int = DEFAULT_CHANNELS, fs: float = DEFAULT_FS,
-                    window_len: int = DEFAULT_WINDOW) -> Recording:
-    """Generate a labeled synthetic recording for one task family."""
+def synth_recording(task: str, n_windows: int, seed: int) -> Recording:
+    """Generate a labeled synthetic recording for one task family:
+    ``N_CHANNELS`` channels of ``WINDOW_LEN``-sample windows at ``FS`` Hz."""
     if task not in TASKS:
         raise InvalidInputError(f"unknown task {task!r}; expected one of {TASKS}")
     if n_windows < 100:
         raise InvalidInputError("n_windows must be >= 100")
     rng = np.random.default_rng(seed)
-    windows = np.empty((n_windows, n_channels, window_len))
+    windows = np.empty((n_windows, N_CHANNELS, WINDOW_LEN))
 
     if task == "seizure":
         labels = (rng.random(n_windows) < 0.25).astype(np.int64)
         for i in range(n_windows):
-            w = rng.standard_normal((n_channels, window_len))
+            w = rng.standard_normal((N_CHANNELS, WINDOW_LEN))
             if labels[i]:
                 # broadband burst on a random 3-channel subset; per channel it
                 # looks exactly like an artifact, only the spread differs
-                env = _burst_envelope(rng, window_len, lo=0.7, hi=0.95)
-                for ch in rng.permutation(n_channels)[: n_channels - 1]:
+                env = _burst_envelope(rng, lo=0.7, hi=0.95)
+                for ch in rng.permutation(N_CHANNELS)[: N_CHANNELS - 1]:
                     w[ch] *= 1.0 + 2.2 * env
-                    w[ch] += env * _oscillation(rng, rng.uniform(20.0, 40.0),
-                                                fs, window_len, 1.5)
+                    w[ch] += env * _oscillation(rng, rng.uniform(20.0, 40.0), 1.5)
             elif rng.random() < 0.35:
-                env = _burst_envelope(rng, window_len)
-                ch = int(rng.integers(n_channels))
+                env = _burst_envelope(rng)
+                ch = int(rng.integers(N_CHANNELS))
                 w[ch] *= 1.0 + 2.2 * env
-                w[ch] += env * _oscillation(rng, rng.uniform(20.0, 40.0),
-                                            fs, window_len, 1.5)
+                w[ch] += env * _oscillation(rng, rng.uniform(20.0, 40.0), 1.5)
             windows[i] = w
     elif task == "tremor":
         labels = (rng.random(n_windows) < 0.4).astype(np.int64)
         for i in range(n_windows):
-            w = rng.standard_normal((n_channels, window_len))
+            w = rng.standard_normal((N_CHANNELS, WINDOW_LEN))
             if labels[i]:
                 # theta-band rhythm on a random 3-channel subset
-                env = _burst_envelope(rng, window_len, lo=0.6, hi=0.95)
-                for ch in rng.permutation(n_channels)[: n_channels - 1]:
-                    w[ch] += env * _oscillation(rng, rng.uniform(4.5, 7.5),
-                                                fs, window_len, 2.0)
+                env = _burst_envelope(rng, lo=0.6, hi=0.95)
+                for ch in rng.permutation(N_CHANNELS)[: N_CHANNELS - 1]:
+                    w[ch] += env * _oscillation(rng, rng.uniform(4.5, 7.5), 2.0)
             elif rng.random() < 0.55:
                 # single-channel rhythm matching the positive amplitude
-                env = _burst_envelope(rng, window_len, lo=0.6, hi=0.95)
-                ch = int(rng.integers(n_channels))
-                w[ch] += env * _oscillation(rng, rng.uniform(4.5, 7.5),
-                                            fs, window_len, 2.0)
+                env = _burst_envelope(rng, lo=0.6, hi=0.95)
+                ch = int(rng.integers(N_CHANNELS))
+                w[ch] += env * _oscillation(rng, rng.uniform(4.5, 7.5), 2.0)
             windows[i] = w * rng.uniform(*AMPLITUDE_JITTER)
     else:  # finger
         per_class = n_windows // N_FINGER_CLASSES
@@ -105,23 +101,22 @@ def synth_recording(task: str, n_windows: int, seed: int,
         ])
         labels = labels[rng.permutation(n_windows)]
         for i in range(n_windows):
-            w = rng.standard_normal((n_channels, window_len))
+            w = rng.standard_normal((N_CHANNELS, WINDOW_LEN))
             k = labels[i]
             if k < len(FINGER_FREQS):
-                for ch in (k % n_channels, (k + 1) % n_channels):
-                    w[ch] += _oscillation(rng, FINGER_FREQS[k], fs,
-                                          window_len, 2.2)
+                for ch in (k % N_CHANNELS, (k + 1) % N_CHANNELS):
+                    w[ch] += _oscillation(rng, FINGER_FREQS[k], 2.2)
             # distractor: a weaker class-band rhythm on ONE random channel;
             # single (channel, band) features stay ambiguous but the
             # two-channel full-amplitude pattern identifies the class
             blip = int(rng.integers(len(FINGER_FREQS)))
-            ch = int(rng.integers(n_channels))
-            w[ch] += _oscillation(rng, FINGER_FREQS[blip], fs, window_len, 1.5)
+            ch = int(rng.integers(N_CHANNELS))
+            w[ch] += _oscillation(rng, FINGER_FREQS[blip], 1.5)
             windows[i] = w * rng.uniform(*AMPLITUDE_JITTER)
 
     meta = {"task": task, "seed": seed}
     meta.update(_separability_note(task, windows, labels))
-    return Recording(windows=windows, fs=fs, labels=labels, meta=meta)
+    return Recording(windows=windows, fs=FS, labels=labels, meta=meta)
 
 
 def _separability_note(task, windows, labels) -> dict:

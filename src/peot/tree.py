@@ -101,6 +101,30 @@ class TrainConfig(serialize.Stored):
             raise InvalidInputError(f"unknown l1_mode {self.l1_mode!r}")
 
 
+def feature_batch(x, n_features: int, *, row: bool = False) -> np.ndarray:
+    """The one check of a feature batch, for both model kinds: ``x`` as a
+    float64 matrix of ``n_features`` columns, any number of rows (with
+    ``row``, a 1-D ``x`` is one row), else an ``InvalidInputError``.  Values
+    are not checked: a non-finite feature passes."""
+    X = np.asarray(x, dtype=np.float64)
+    if row and X.ndim == 1:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise InvalidInputError(f"expected a feature batch of {n_features} columns, "
+                                f"got shape {np.shape(x)}")
+    return X
+
+
+def cost_vector(cost_vec, n_features: int) -> np.ndarray:
+    """The one check of a cost vector: ``cost_vec`` as a float64 vector of
+    one price per feature column, else an ``InvalidInputError``."""
+    c = np.asarray(cost_vec, dtype=np.float64)
+    if c.shape != (n_features,):
+        raise InvalidInputError(f"cost vector length must equal feature count "
+                                f"({n_features}), got shape {c.shape}")
+    return c
+
+
 @dataclass(eq=False)
 class ObliqueTree(serialize.Stored, kind="oblique-tree"):
     """Complete oblique tree with two-layer routing networks at each node."""
@@ -186,18 +210,6 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
 
     # -- forward -----------------------------------------------------------
 
-    def _as_batch(self, x) -> np.ndarray:
-        X = np.asarray(x, dtype=np.float64)
-        single = X.ndim == 1
-        if single:
-            X = X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise InvalidInputError(
-                f"expected feature vectors of length {self.n_features}, "
-                f"got shape {np.shape(x)}"
-            )
-        return X, single
-
     def standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mu) / self.sigma
 
@@ -210,8 +222,7 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         a level passes ``q * (1 - P)`` to its left child and ``q * P`` to its
         right child in one array operation each.
         """
-        X, _ = self._as_batch(x)
-        Z = self.standardize(X)
+        Z = self.standardize(feature_batch(x, self.n_features, row=True))
         n, h, F = self.W1.shape
         B = Z.shape[0]
         pre = (self.W1.reshape(n * h, F) @ Z.T).reshape(n, h, B) + self.b1[:, :, None]
@@ -234,24 +245,21 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         """Probability of routing RIGHT at one internal node."""
         if not 0 <= node < self.n_internal:
             raise InvalidInputError(f"node index {node} out of range")
-        X, single = self._as_batch(x)
-        if not single:
+        if np.ndim(x) != 1:
             raise InvalidInputError("routing_probability takes a single sample")
-        z = self.standardize(X)[0]
+        z = self.standardize(feature_batch(x, self.n_features, row=True))[0]
         hid = np.maximum(self.W1[node] @ z + self.b1[node], 0.0)
         return float(expit(self.w2[node] @ hid + self.b2[node]))
 
     def path_probabilities(self, x) -> np.ndarray:
         """Leaf-arrival probabilities; a partition of unity over leaves."""
-        X, single = self._as_batch(x)
-        lp = self.forward(X).leaf_probs
-        return lp[:, 0] if single else lp.T
+        lp = self.forward(x).leaf_probs
+        return lp[:, 0] if np.ndim(x) == 1 else lp.T
 
     def predict_soft(self, x) -> np.ndarray:
         """Mixture-of-leaves class distribution."""
-        X, single = self._as_batch(x)
-        S = self.forward(X).S
-        return S[:, 0] if single else S.T
+        S = self.forward(x).S
+        return S[:, 0] if np.ndim(x) == 1 else S.T
 
     def route(self, x):
         """Hard single-path routing of a batch.
@@ -268,8 +276,7 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         batch is summed as a C-ordered one would be.  A single row skips the
         grouping and runs the same product on the same row at each level.
         """
-        X, _ = self._as_batch(x)
-        Z = self.standardize(X)
+        Z = self.standardize(feature_batch(x, self.n_features, row=True))
         path = np.empty((Z.shape[0], self.depth), dtype=np.int64)
         if Z.shape[0] == 1:
             u = 0
@@ -297,10 +304,9 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         Returns (label, visited internal nodes, leaf index); label ties
         resolve to the lowest class index.
         """
-        X, single = self._as_batch(x)
-        if not single:
+        if np.ndim(x) != 1:
             raise InvalidInputError("predict_single_path takes a single sample")
-        path, leaf = self.route(X)
+        path, leaf = self.route(x)
         leaf = int(leaf[0])
         return int(np.argmax(self.leaf_logits[leaf])), path[0].tolist(), leaf
 
@@ -310,10 +316,9 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         A single sample gives an int, a batch an array; label ties resolve to
         the lowest class index.
         """
-        X, single = self._as_batch(x)
-        _, leaves = self.route(X)
+        _, leaves = self.route(x)
         labels = np.argmax(self.leaf_logits[leaves], axis=1)
-        return int(labels[0]) if single else labels
+        return int(labels[0]) if np.ndim(x) == 1 else labels
 
     def params_touched_fraction(self, accounting: str = "internal-only") -> float:
         """Fraction of parameters read by one single-path inference.
@@ -340,14 +345,6 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
 
 # ---------------------------------------------------------------------------
 # loss, gradients and the shared backward engine
-
-
-def node_column_costs(tree: ObliqueTree, cost_vec: np.ndarray) -> np.ndarray:
-    """Cost-weighted group-L1 of each node's first-layer feature columns."""
-    c = np.asarray(cost_vec, dtype=np.float64)
-    if c.shape != (tree.n_features,):
-        raise InvalidInputError("cost vector length must equal feature count")
-    return np.add.reduce(np.abs(tree.W1), axis=1) @ c
 
 
 def _check_finite(tree: ObliqueTree, fw: Forward) -> None:
@@ -443,8 +440,8 @@ def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad,
     """Penalty value (None unless ``value``), mean internal-node visit
     probabilities and the penalty's gradient injections for the backward
     engine."""
-    c = np.asarray(cost_vec, dtype=np.float64)
-    r = node_column_costs(tree, c)
+    c = cost_vector(cost_vec, tree.n_features)
+    r = np.add.reduce(np.abs(tree.W1), axis=1) @ c  # each node's cost-weighted group-L1
     qbar = fw.q[: tree.n_internal] @ sample_weights
     dq_direct = np.multiply(r[:, None], sample_weights)  # np.outer(r, w)
     dq_direct *= lam
@@ -455,12 +452,9 @@ def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad,
 
 
 def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[1] != tree.n_features:
-        raise InvalidInputError("X must be (batch, n_features)")
-    if y.shape != (X.shape[0],) or X.shape[0] == 0:
-        raise InvalidInputError("y must hold one label per sample; batch nonempty")
+    """``X`` as a nonempty feature matrix of ``tree`` and ``y`` as its labels;
+    ``lam > 0`` needs a cost vector, which the penalty checks."""
+    X, y = training_set(feature_batch(X, tree.n_features), y)
     if y.min() < 0 or y.max() >= tree.n_classes:
         raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
     if lam > 0 and cost_vec is None:
@@ -470,7 +464,8 @@ def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
 
 def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
                out=None):
-    """The objective on an already validated, nonempty batch.
+    """The objective on a nonempty batch ``X``, which ``ObliqueTree.forward``
+    checks; ``y``, if given, holds one label in ``[0, n_classes)`` per row.
 
     Weighted cross-entropy of the soft prediction plus ``lam`` times the
     batch-mean power penalty; ``y=None`` leaves the penalty alone.  Returns
@@ -488,6 +483,9 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
     (training applies it as a proximal step instead).
     """
     fw = tree.forward(X)
+    B = fw.Z.shape[0]
+    if B == 0:
+        raise InvalidInputError("the objective needs a nonempty batch")
     _check_finite(tree, fw)
     value = out is None
     if grad and out is None:
@@ -499,7 +497,7 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
     dq_direct = w1_direct = qbar = None
     if lam > 0:
         pen, qbar, dq_direct, w1_direct = _penalty_pieces(
-            tree, fw, lam, cost_vec, _batch_constants(X.shape[0])[1],
+            tree, fw, lam, cost_vec, _batch_constants(B)[1],
             grad and l1_grad, value)
         if value:
             loss = loss + lam * pen
@@ -562,7 +560,7 @@ def training_set(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
-        raise InvalidInputError("training set must be a nonempty 2-D matrix")
+        raise InvalidInputError("X must be a nonempty 2-D matrix")
     if y.shape != (X.shape[0],):
         raise InvalidInputError("one label per sample required")
     return X, y

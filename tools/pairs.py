@@ -3,13 +3,14 @@
     python3 tools/pairs.py --workload stream-seizure --seed 7 --pairs 10 --parent HEAD~1
 
 Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once on
-the working tree (the change) and once on a ``git worktree`` of the parent
-rev, checked out in a temporary directory.  Every run lasts the
-``run_seconds`` that ``BENCHMARK.json`` sets.  Even pairs run the parent
-first, odd pairs the change, so neither side always meets the host in the
-same phase; the runs go one at a time, never two benchmark processes at
-once.  A parent rev that is the HEAD of a clean working tree is refused,
-since the change would be compared with itself.
+the working tree (the change) and once on the parent rev's committed files,
+extracted from ``git archive`` into a temporary directory, so nothing under
+``.git`` is written.  Every run lasts the ``run_seconds`` that
+``BENCHMARK.json`` sets.  Even pairs run the parent first, odd pairs the
+change, so neither side always meets the host in the same phase; the runs
+go one at a time, never two benchmark processes at once.  A parent rev that
+is the HEAD of a clean working tree is refused, since the change would be
+compared with itself.
 
 It prints each pair's ``setup_s``, ``body_s`` and ``peak_rss_mb`` (parent /
 change), then the medians, the number of pairs the change wins (lower is
@@ -18,18 +19,20 @@ every run gave the same output digests.  Then, for every ``end_to_end``
 metric of ``BENCHMARK.json``, it prints both medians and one verdict: gain,
 worse, unresolved or unchanged (see ``verdicts``).  A run that fails stops
 the pairs with its pair number, side, exit code and the end of its standard
-error.  The worktree is removed on every way out, including an error, a
-failed run, Ctrl-C or SIGTERM.
+error.  The temporary directory is removed on every way out, including an
+error, a failed run, Ctrl-C or SIGTERM.
 """
 
 import argparse
 import contextlib
+import io
 import json
 import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -147,19 +150,18 @@ def verdicts(pairs: list[dict], end_to_end: list[dict]) -> list[str]:
 
 @contextlib.contextmanager
 def parent_checkout(rev: str, repo: Path = ROOT):
-    """A detached ``git worktree`` of ``rev`` in a temporary directory,
-    removed again however the block ends."""
+    """The files ``rev`` commits, from ``git archive``, in a temporary
+    directory that is removed again however the block ends."""
     tmp = Path(tempfile.mkdtemp(prefix="peot-pairs-"))
     path = tmp / "parent"
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(path), rev],
-                       cwd=repo, check=True, capture_output=True)
+        archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(path, filter="data")
         yield path
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(path)],
-                       cwd=repo, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=repo, capture_output=True)
 
 
 def check_differs(rev: str, repo: Path = ROOT) -> None:
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
     check_differs(args.parent)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    # SIGTERM unwinds like Ctrl-C, so the worktree is removed
+    # SIGTERM unwinds like Ctrl-C, so the parent's directory is removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with parent_checkout(args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
