@@ -13,8 +13,11 @@ weights produces the compressed variant.
 
 Every boosted model is a ``GbtOvR`` read through ``model.ensembles``: one
 binary ensemble per class, or one member for a binary task.  A one-member
-model is stored as its member's ``gbt-ensemble`` document, and a bare
-``GbtEnsemble`` (from the public ``train_gbt``) is a one-member model too.
+model is stored as its member's ``gbt-ensemble`` document.  Like an
+``ObliqueTree`` it answers ``predict`` and ``reads``, which ``model_power``
+prices (``tree.charge``), so ``model_power`` takes a ``GbtOvR``.  A bare
+``GbtEnsemble`` (from the public ``train_gbt``) stays sizable: its
+``ensembles`` is itself.
 Configs, trees and models are stored through the ``serialize`` codec.
 """
 
@@ -27,7 +30,7 @@ from scipy.special import expit
 from . import serialize
 from .compression import fit_format, quantize_values
 from .errors import InvalidInputError
-from .tree import cost_vector, feature_batch, training_set
+from .tree import charge, feature_batch, training_set
 
 PROB_CLAMP = 1e-6
 
@@ -347,6 +350,19 @@ class GbtOvR(serialize.Stored, kind="gbt-ovr"):
     def n_features(self) -> int:
         return self.ensembles[0].n_features
 
+    def predict(self, X) -> np.ndarray:
+        """``predict_labels``, looked up per call so perfbench's spans count it."""
+        return predict_labels(self, X)
+
+    def reads(self, X) -> np.ndarray:
+        """(B, F) bool: the features read on each row's walks through every tree."""
+        X = feature_batch(X, self.n_features)
+        used = np.zeros(X.shape, dtype=bool)
+        for e in self.ensembles:
+            for t in e.trees:
+                t.walk(X, used=used)
+        return used
+
     def to_doc(self) -> dict:
         """A one-member model is stored as its member's ``gbt-ensemble``."""
         return self.ensembles[0].to_doc() if len(self.ensembles) == 1 else super().to_doc()
@@ -379,19 +395,10 @@ def predict_labels(model: GbtOvR, X) -> np.ndarray:
     class whose member has the top margin."""
     if len(model.ensembles) == 1:
         return predict_gbt(model.ensembles[0], X)[2]
-    X = np.asarray(X, dtype=np.float64)
     return np.argmax(np.stack([e.margins(X) for e in model.ensembles]), axis=0)
 
 
 def model_power(model: GbtOvR, X, cost_vec) -> float:
     """Mean per-sample cost of the features read on the visited paths of
     every member, each feature priced once per sample."""
-    X = feature_batch(X, model.n_features)
-    if X.shape[0] == 0:
-        raise InvalidInputError("model_power needs a nonempty dataset")
-    c = cost_vector(cost_vec, model.n_features)
-    used = np.zeros(X.shape, dtype=bool)
-    for e in model.ensembles:
-        for t in e.trees:
-            t.walk(X, used=used)
-    return float((used @ c).mean())
+    return charge(model.reads(X), cost_vec)

@@ -10,10 +10,11 @@ as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
 codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  A bad
 flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2.  A
-malformed ``dataset.json`` or ``model.json`` exits 3 (a non-finite feature
-or sample is malformed), and so does a stored pipeline that is malformed or
-does not fit the recording it featurises, or a feature matrix whose column
-count is not the model's.
+malformed ``dataset.json`` or ``model.json`` exits 3 (so do a dataset
+without rows, a non-finite feature or sample and a feature matrix of other
+than bool, int or float values), and so does a stored pipeline that is
+malformed or does not fit the recording it featurises, or a feature matrix
+whose column count is not the model's.
 """
 
 import argparse
@@ -296,8 +297,20 @@ def _check_fits(X, model, path) -> None:
                         f"the model reads {model.n_features}")
 
 
-def _load_featurized(path, resolved, stored=None):
+def _labels(container) -> np.ndarray:
+    return container.labels if isinstance(container, data.Recording) else container.y
+
+
+def _load_dataset(path):
+    """The container at ``path``; one without rows is a data error."""
     container = data.load_container(path)
+    if not _labels(container).size:
+        raise DataError(f"{path}: the dataset holds no rows")
+    return container
+
+
+def _load_featurized(path, resolved, stored=None):
+    container = _load_dataset(path)
     X, y, c, pipeline = _featurize(container, resolved, stored)
     return container, X, y, c, pipeline
 
@@ -315,7 +328,7 @@ def _stored_test_indices(train: TrainRecord, container) -> np.ndarray:
     in [0, n); on any other dataset, whose rows they do not name, none."""
     if container.fingerprint() != train.dataset_fingerprint:
         return np.asarray([], dtype=np.int64)
-    n = len(container.labels if isinstance(container, data.Recording) else container.y)
+    n = len(_labels(container))
     for i in train.test_indices:
         if not 0 <= i < n:
             raise DataError(f"model train.test_indices holds {i}, not a row index in [0, {n})")
@@ -382,7 +395,6 @@ def cmd_train(resolved, out):
         model = tree_mod.train(X[tr_idx], y[tr_idx], cfg,
                                cost_vec=c if cfg.lam > 0 else None,
                                n_classes=n_classes)
-        predict = model.predict
     else:
         cfg = GbtConfig(
             n_trees=resolved["n_trees"], max_depth=resolved["max_depth"],
@@ -396,17 +408,16 @@ def cmd_train(resolved, out):
         )
         if resolved["model"] == "pegb":
             model = boosting.quantize_model(model)
-        predict = lambda Z: boosting.predict_labels(model, Z)
 
     train = TrainRecord(cfg.to_doc(), seed, holdout, container.fingerprint(),
                         te_idx.tolist(), n_classes)
     doc = ModelDocument(resolved["model"], model.to_doc(), pipeline, train)
     serialize.write_document(doc.to_doc(), out / "model.json")
 
-    metrics = {"train": compute_metrics(y[tr_idx], predict(X[tr_idx]),
+    metrics = {"train": compute_metrics(y[tr_idx], model.predict(X[tr_idx]),
                                         n_classes).to_doc()}
     if te_idx.size:
-        metrics["test"] = compute_metrics(y[te_idx], predict(X[te_idx]),
+        metrics["test"] = compute_metrics(y[te_idx], model.predict(X[te_idx]),
                                           n_classes).to_doc()
     _write_json(metrics, out / "metrics.json")
     print(f"wrote {out / 'model.json'}"
@@ -446,8 +457,8 @@ def cmd_compress(resolved, out):
 
 def cmd_eval(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
-    container = data.load_container(resolved["dataset"])
-    y = container.labels if isinstance(container, data.Recording) else container.y
+    container = _load_dataset(resolved["dataset"])
+    y = _labels(container)
     n_classes = int(y.max()) + 1 if doc.train.n_classes is None else doc.train.n_classes
     if y.max() >= n_classes:  # labels are >= 0
         raise DataError(f"{resolved['model']}: train.n_classes is {n_classes!r}, "
@@ -461,18 +472,14 @@ def cmd_eval(resolved, out):
         X_eval, y_eval, c, _ = _featurize(container, resolved, doc.pipeline)
         split = "full-dataset"
     _check_fits(X_eval, model, resolved["dataset"])
-    if isinstance(model, tree_mod.ObliqueTree):
-        labels = model.predict(X_eval)
-        extra = {
-            "deployed_power": cost.deployed_power(model, X_eval, c),
-            "params_touched": {mode: model.params_touched_fraction(mode)
-                               for mode in ("internal-only", "with-leaves")},
-        }
+    metrics = compute_metrics(y_eval, model.predict(X_eval), n_classes)
+    result = {"split": split, "metrics": metrics.to_doc()}
+    if isinstance(model, tree_mod.ObliqueTree):  # each kind's power by its traced name
+        result["deployed_power"] = cost.deployed_power(model, X_eval, c)
+        result["params_touched"] = {mode: model.params_touched_fraction(mode)
+                                    for mode in ("internal-only", "with-leaves")}
     else:
-        labels = boosting.predict_labels(model, X_eval)
-        extra = {"deployed_power": boosting.model_power(model, X_eval, c)}
-    metrics = compute_metrics(y_eval, labels, n_classes)
-    result = {"split": split, "metrics": metrics.to_doc(), **extra}
+        result["deployed_power"] = boosting.model_power(model, X_eval, c)
     _write_json(result, out / "metrics.json")
     print(f"eval[{split}]: f1={metrics.f1:.4f} acc={metrics.accuracy:.4f}")
 

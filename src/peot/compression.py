@@ -292,15 +292,13 @@ def _gbt_breakdown(ensemble, accounting: str) -> dict:
 def size_breakdown(model, accounting: str) -> dict:
     """Exact per-parameter-class bit counts plus the total.
 
-    A boosted model is charged the sum over its member ensembles."""
+    A boosted model, or a bare ``GbtEnsemble``, is charged the sum over its
+    member ensembles."""
     if isinstance(model, ObliqueTree):
         parts = _oblique_breakdown(model, accounting)
     else:
-        members = getattr(model, "ensembles", None)
-        if members is None:
-            raise InvalidInputError(f"cannot size {type(model).__name__}")
         parts = Counter()
-        for ensemble in members:
+        for ensemble in model.ensembles:
             parts.update(_gbt_breakdown(ensemble, accounting))
     parts = {k: int(v) for k, v in parts.items()}
     return {"accounting": accounting, "total_bits": sum(parts.values()), **parts}

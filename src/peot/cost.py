@@ -5,19 +5,14 @@ penalty is a differentiable surrogate: the visit-probability-weighted,
 cost-weighted group-L1 of each node's first-layer feature columns.  It does
 not de-duplicate a feature used at several nodes, so it upper-bounds the
 physical cost; its value and gradients come from the tree's one objective
-routine.  The deployed-power metric is the number actually reported: route
-each sample along its single path (``ObliqueTree.route``), collect the
-features whose column L1 norm exceeds ``DEFAULT_PRUNE_THRESHOLD`` at any
-visited node, and charge each feature once per sample because extraction is
-shared.
+routine.  The deployed-power metric is the number actually reported:
+``tree.charge`` of ``ObliqueTree.reads``, which prices once per sample each
+feature read (column L1 above ``DEFAULT_PRUNE_THRESHOLD``) at any node of
+its single path, as extraction is shared; ``boosting.model_power`` is the
+same charge of ``GbtOvR.reads``.
 """
 
-import numpy as np
-
-from .errors import InvalidInputError
-from .tree import ObliqueTree, _objective, cost_vector
-
-DEFAULT_PRUNE_THRESHOLD = 1e-6
+from .tree import DEFAULT_PRUNE_THRESHOLD, ObliqueTree, _objective, charge
 
 
 def power_penalty(tree: ObliqueTree, x, cost_vec) -> float:
@@ -35,18 +30,5 @@ def power_penalty_gradients(tree: ObliqueTree, x, cost_vec) -> dict:
 
 
 def deployed_power(tree: ObliqueTree, X, cost_vec) -> float:
-    """Mean per-sample extraction cost along the single inference path.
-
-    A feature is read at a node when its first-layer column L1 norm exceeds
-    ``DEFAULT_PRUNE_THRESHOLD``.  A feature read at several visited nodes is
-    charged once: the extracted value is shared by every node that reads it.
-    ``ObliqueTree.route`` checks the batch.
-    """
-    c = cost_vector(cost_vec, tree.n_features)
-    path, _ = tree.route(X)
-    if path.shape[0] == 0:
-        raise InvalidInputError("deployed_power needs a nonempty dataset")
-    reads = np.add.reduce(np.abs(tree.W1), axis=1) > DEFAULT_PRUNE_THRESHOLD  # (n_internal, F)
-    # ``any`` and ``mean`` as their own ufunc steps, without their wrappers
-    per_sample = np.logical_or.reduce(reads[path], axis=1) @ c
-    return float(np.add.reduce(per_sample) / per_sample.size)
+    """Mean per-sample extraction cost along the single inference path."""
+    return charge(tree.reads(X), cost_vec)

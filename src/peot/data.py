@@ -68,7 +68,7 @@ class Recording(serialize.Stored, kind="recording"):
 class Dataset(serialize.Stored, kind="dataset"):
     """Flat feature matrix with integer class labels."""
 
-    X: np.ndarray = serialize.array_field()  # (n_samples, n_features), any dtype
+    X: np.ndarray = serialize.array_field()  # (n_samples, n_features), bool, int or float
     y: np.ndarray = serialize.array_field(np.int64)  # (n_samples,)
     feature_names: list[str] | None = None
     meta: dict = field(default_factory=dict)
@@ -78,6 +78,8 @@ class Dataset(serialize.Stored, kind="dataset"):
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.ndim != 2:
             raise InvalidInputError("X must be 2-D")
+        if self.X.dtype.kind not in "biuf":
+            raise DataError(f"X must hold bool, int or float values, not {self.X.dtype}")
         if self.X.shape[0] != self.y.shape[0]:
             raise InvalidInputError("one label per row required")
         if self.feature_names is not None and len(self.feature_names) != self.X.shape[1]:

@@ -293,8 +293,8 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
     pegb_config = replace(gbt_config, cost_lambda=0.5)
     peot_config = peot_config or TrainConfig(depth=2, hidden=4, lam=0.1)
 
-    def row(fit, predict, power, accounting):
-        cv = cross_validate(X, y, fit, predict, k, scheme, seed, fingerprint)
+    def row(fit, power, accounting):
+        cv = cross_validate(X, y, fit, lambda m, Z: m.predict(Z), k, scheme, seed, fingerprint)
         sizes = [compression.model_size_bits(m, accounting) for m in cv.models]
         powers = [power(m, X[te], c) for m, te in zip(cv.models, cv.test_folds)]
         return {"f1_mean": cv.f1_mean, "f1_std": cv.f1_std,
@@ -304,15 +304,15 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
     rows = {
         "gbt": row(
             lambda Xtr, ytr, s: boosting.train_gbt_multiclass(Xtr, ytr, gbt_config),
-            boosting.predict_labels, boosting.model_power, "dense-float32"),
+            boosting.model_power, "dense-float32"),
         "pegb": row(
             lambda Xtr, ytr, s: _fit_pegb(Xtr, ytr, pegb_config, c),
-            boosting.predict_labels, boosting.model_power, "quantized-gbt"),
+            boosting.model_power, "quantized-gbt"),
         "peot": row(
             lambda Xtr, ytr, s: _fit_peot(Xtr, ytr, peot_config, c, n_classes, s,
                                           peot_sparsity, peot_share_bits,
                                           finetune_epochs),
-            ObliqueTree.predict, cost.deployed_power, "pruned-shared"),
+            cost.deployed_power, "pruned-shared"),
     }
     base = rows["gbt"]
     for name, row in rows.items():

@@ -27,6 +27,7 @@ SIGMA_FLOOR = 1e-8
 # standardised, so a converging tree keeps O(1) parameters (at most about 10
 # on the synthetic tasks), while a diverging run passes 1e8 in one epoch.
 MAX_PARAM_ABS = 1e6
+DEFAULT_PRUNE_THRESHOLD = 1e-6  # a node reads a feature whose W1 column L1 exceeds it
 
 PARAM_NAMES = ("W1", "b1", "w2", "b2", "leaf_logits")
 ARRAY_NAMES = PARAM_NAMES + ("mu", "sigma")  # every array a tree stores
@@ -123,6 +124,14 @@ def cost_vector(cost_vec, n_features: int) -> np.ndarray:
         raise InvalidInputError(f"cost vector length must equal feature count "
                                 f"({n_features}), got shape {c.shape}")
     return c
+
+
+def charge(reads: np.ndarray, cost_vec) -> float:
+    """Both model kinds' power: the mean per-row price of a (B, F) read mask."""
+    if reads.shape[0] == 0:
+        raise InvalidInputError("a power charge needs a nonempty dataset")
+    per_sample = reads @ cost_vector(cost_vec, reads.shape[1])
+    return float(np.add.reduce(per_sample) / per_sample.size)  # ``mean``, unwrapped
 
 
 @dataclass(eq=False)
@@ -297,6 +306,12 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
                 nxt[sel] = 2 * u + 1 + (logit > 0.0)
             node = nxt
         return path, node - self.n_internal
+
+    def reads(self, x) -> np.ndarray:
+        """(B, F) bool: the features read at the nodes of each row's ``route``."""
+        path, _ = self.route(x)
+        node_reads = np.add.reduce(np.abs(self.W1), axis=1) > DEFAULT_PRUNE_THRESHOLD
+        return np.logical_or.reduce(node_reads[path], axis=1)
 
     def predict_single_path(self, x):
         """Single-path inference for one sample, by the rule of ``route``.
