@@ -33,6 +33,7 @@ from .errors import InvalidInputError
 from .tree import charge, feature_batch, training_set
 
 PROB_CLAMP = 1e-6
+PEGB_COST_LAMBDA = 0.5  # PEGB's feature-cost weight, in train and in the report
 
 
 @dataclass

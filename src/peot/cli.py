@@ -109,7 +109,7 @@ OPTIONS = {
         "holdout": (float, 0.25),
         "n_trees": (int, _GBT.n_trees), "max_depth": (int, _GBT.max_depth),
         "gbt_learning_rate": (float, _GBT.learning_rate),
-        "cost_lambda": (float, 0.5), **FEATURES,
+        "cost_lambda": (float, boosting.PEGB_COST_LAMBDA), **FEATURES,
     },
     "compress": {
         **SEED, "model": PATH, "dataset": PATH, "sparsity": (float, 0.9),
@@ -311,6 +311,8 @@ def _load_dataset(path):
 
 def _load_featurized(path, resolved, stored=None):
     container = _load_dataset(path)
+    if np.unique(_labels(container)).size < 2:
+        raise DataError(f"{path}: the dataset holds one class; a model needs at least two")
     X, y, c, pipeline = _featurize(container, resolved, stored)
     return container, X, y, c, pipeline
 

@@ -338,10 +338,10 @@ def compress_pipeline(tree: ObliqueTree, X, y, sparsity: float,
     if share_bits is not None:
         out, codebook = share(out, mask, share_bits)
         out = fine_tune(out, X, y, mask, codebook, config, cost_vec=cost_vec)
-    report["size_bits_after"] = model_size_bits(out, "pruned-shared")
+    report["breakdown"] = size_breakdown(out, "pruned-shared")
+    report["size_bits_after"] = report["breakdown"]["total_bits"]
     report["ratio"] = report["size_bits_before"] / report["size_bits_after"]
     report["acc_after"] = _accuracy(out, Xe, ye)
-    report["breakdown"] = size_breakdown(out, "pruned-shared")
     report["params_touched"] = {
         mode: out.params_touched_fraction(mode)
         for mode in ("internal-only", "with-leaves")

@@ -39,8 +39,9 @@ class Metrics:
         }
 
 
-def _safe_div(num, den):
-    return num / den if den > 0 else 0.0
+def _rates(num, den) -> np.ndarray:
+    """``num / den`` elementwise, 0.0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den > 0)
 
 
 def compute_metrics(y_true, y_pred, n_classes: int | None = None) -> Metrics:
@@ -66,18 +67,13 @@ def compute_metrics(y_true, y_pred, n_classes: int | None = None) -> Metrics:
     np.add.at(conf, (y_true, y_pred), 1)
     accuracy = float(np.trace(conf) / conf.sum())
 
-    recalls, precisions, f1s, specs = [], [], [], []
-    for k in range(n_classes):
-        tp = conf[k, k]
-        fn = conf[k].sum() - tp
-        fp = conf[:, k].sum() - tp
-        tn = conf.sum() - tp - fn - fp
-        rec = _safe_div(tp, tp + fn)
-        prec = _safe_div(tp, tp + fp)
-        recalls.append(rec)
-        precisions.append(prec)
-        f1s.append(_safe_div(2 * prec * rec, prec + rec))
-        specs.append(_safe_div(tn, tn + fp))
+    # per class: true positives, true (tp + fn) and predicted (tp + fp) counts
+    tp, true, pred = np.diagonal(conf), conf.sum(axis=1), conf.sum(axis=0)
+    fp = pred - tp
+    tn = conf.sum() - true - fp
+    recalls, precisions, specs = _rates(np.stack([tp, tp, tn]),
+                                        np.stack([true, pred, tn + fp]))
+    f1s = _rates(2 * precisions * recalls, precisions + recalls)
 
     if n_classes == 2:
         return Metrics(accuracy, float(f1s[1]), float(recalls[1]),
@@ -111,11 +107,8 @@ def make_folds(n: int, k: int, scheme: str = "blocks", seed: int = 0,
         raise InvalidInputError("need k >= 2 folds")
     if n < k:
         raise InvalidInputError(f"dataset of {n} samples cannot fill {k} folds")
-    if scheme == "blocks":
-        sizes = np.full(k, n // k)
-        sizes[: n % k] += 1
-        edges = np.concatenate([[0], np.cumsum(sizes)])
-        test_sets = [np.arange(edges[i], edges[i + 1]) for i in range(k)]
+    if scheme == "blocks":  # the first n % k blocks one row longer
+        test_sets = np.array_split(np.arange(n), k)
     elif scheme == "stratified":
         if y is None:
             raise InvalidInputError("stratified folds need labels")
@@ -127,13 +120,7 @@ def make_folds(n: int, k: int, scheme: str = "blocks", seed: int = 0,
         test_sets = [np.sort(order[i::k]) for i in range(k)]
     else:
         raise InvalidInputError(f"unknown fold scheme {scheme!r}")
-    all_idx = np.arange(n)
-    folds = []
-    for test in test_sets:
-        mask = np.ones(n, dtype=bool)
-        mask[test] = False
-        folds.append((all_idx[mask], test))
-    return folds
+    return [(np.delete(np.arange(n), test), test) for test in test_sets]
 
 
 @dataclass
@@ -154,19 +141,22 @@ def cross_validate(X, y, fit, predict, k: int = 5, scheme: str = "blocks",
     fold's model and test indices are kept, so callers can measure the
     models further (size, power) on the same test folds.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = tree_mod.training_set(X, y)
     n_classes = int(y.max()) + 1
     folds = make_folds(X.shape[0], k, scheme, seed, fingerprint, y)
     metrics, models = [], []
     for i, (tr, te) in enumerate(folds):
-        model = fit(X[tr], y[tr], fold_seed(seed, i))
-        pred = predict(model, X[te])
-        metrics.append(compute_metrics(y[te], pred, n_classes))
-        models.append(model)
+        models.append(fit(X[tr], y[tr], fold_seed(seed, i)))
+        metrics.append(compute_metrics(y[te], predict(models[-1], X[te]), n_classes))
     f1s = np.array([m.f1 for m in metrics])
     return CVResult(metrics, models, [te for _, te in folds],
                     float(f1s.mean()), float(f1s.std()))
+
+
+def _priced_cv(X, y, fit, power, c, k, scheme, seed, fingerprint):
+    """``cross_validate``, then each fold's ``power(model, X_test, c)``."""
+    cv = cross_validate(X, y, fit, lambda m, Z: m.predict(Z), k, scheme, seed, fingerprint)
+    return cv, [power(m, X[te], c) for m, te in zip(cv.models, cv.test_folds)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,36 +198,30 @@ def tradeoff_sweep(X, y, cost_vec, lambda_grid, depth_grid,
     """
     if len(lambda_grid) == 0 or len(depth_grid) == 0:
         raise InvalidInputError("sweep grids must be nonempty")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    c = np.asarray(cost_vec, dtype=np.float64)
+    X, y = tree_mod.training_set(X, y)
+    c = tree_mod.cost_vector(cost_vec, X.shape[1])
     n_classes = int(y.max()) + 1
     points = []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER)
-    for lam in lambda_grid:
-        for depth in depth_grid:
-            cfg = replace(base_config, lam=float(lam), depth=int(depth))
+    for lam in map(float, lambda_grid):
+        for depth in map(int, depth_grid):
+            cfg = replace(base_config, lam=lam, depth=depth)
             try:
-                cv = cross_validate(
+                cv, powers = _priced_cv(
                     X, y,
                     lambda Xtr, ytr, s, cfg=cfg: tree_mod.train(
-                        Xtr, ytr, replace(cfg, seed=s), cost_vec=c,
-                        n_classes=n_classes),
-                    ObliqueTree.predict, k, scheme, seed, fingerprint)
-                powers = [cost.deployed_power(m, X[te], c)
-                          for m, te in zip(cv.models, cv.test_folds)]
+                        Xtr, ytr, replace(cfg, seed=s), cost_vec=c, n_classes=n_classes),
+                    cost.deployed_power, c, k, scheme, seed, fingerprint)
             except NumericError as exc:
-                points.append(SweepPoint(float(lam), int(depth), float("nan"),
-                                         float("nan"), float("nan"),
-                                         int(depth), error=str(exc)))
+                points.append(SweepPoint(lam, depth, np.nan, np.nan, np.nan, depth,
+                                         error=str(exc)))
                 continue
-            rows = [(float(lam), int(depth), i, met.f1, power, int(depth))
-                    for i, (met, power) in enumerate(zip(cv.fold_metrics, powers))]
-            writer.writerows(rows)
-            points.append(SweepPoint(float(lam), int(depth), cv.f1_mean,
-                                     cv.f1_std, float(np.mean(powers)), int(depth)))
+            writer.writerows((lam, depth, i, met.f1, power, depth)
+                             for i, (met, power) in enumerate(zip(cv.fold_metrics, powers)))
+            points.append(SweepPoint(lam, depth, cv.f1_mean, cv.f1_std,
+                                     float(np.mean(powers)), depth))
     return points, buf.getvalue()
 
 
@@ -280,23 +264,21 @@ def benchmark_report(X, y, cost_vec, *, k: int = 5, scheme: str = "blocks",
                      provenance: str = "synthetic") -> dict:
     """Compare GBT / PEGB / PEOT on identical folds.
 
-    PEGB is ``gbt_config`` with the feature-cost penalty ``cost_lambda=0.5``,
+    PEGB is ``gbt_config`` with the feature-cost penalty ``PEGB_COST_LAMBDA``,
     quantized to 10/3 bits; PEOT is the cost-regularized oblique tree run
     through the prune/share pipeline.
     Sizes and power are normalized to the GBT baseline row (exactly 1.0).
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    c = np.asarray(cost_vec, dtype=np.float64)
+    X, y = tree_mod.training_set(X, y)
+    c = tree_mod.cost_vector(cost_vec, X.shape[1])
     n_classes = int(y.max()) + 1
     gbt_config = gbt_config or GbtConfig()
-    pegb_config = replace(gbt_config, cost_lambda=0.5)
+    pegb_config = replace(gbt_config, cost_lambda=boosting.PEGB_COST_LAMBDA)
     peot_config = peot_config or TrainConfig(depth=2, hidden=4, lam=0.1)
 
     def row(fit, power, accounting):
-        cv = cross_validate(X, y, fit, lambda m, Z: m.predict(Z), k, scheme, seed, fingerprint)
+        cv, powers = _priced_cv(X, y, fit, power, c, k, scheme, seed, fingerprint)
         sizes = [compression.model_size_bits(m, accounting) for m in cv.models]
-        powers = [power(m, X[te], c) for m, te in zip(cv.models, cv.test_folds)]
         return {"f1_mean": cv.f1_mean, "f1_std": cv.f1_std,
                 "size_bits_mean": float(np.mean(sizes)),
                 "power_mean": float(np.mean(powers))}
