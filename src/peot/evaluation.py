@@ -174,10 +174,14 @@ class SweepPoint:
     error: str | None = None
 
     def to_doc(self) -> dict:
+        """The point as strict JSON: a non-finite F1 or power (a point whose
+        training raised keeps NaN in its fields) is null."""
+        def strict(v):
+            return v if np.isfinite(v) else None
         return {
             "lambda": self.lam, "depth": self.depth,
-            "f1_mean": self.f1_mean, "f1_std": self.f1_std,
-            "power_mean": self.power_mean, "latency": self.latency,
+            "f1_mean": strict(self.f1_mean), "f1_std": strict(self.f1_std),
+            "power_mean": strict(self.power_mean), "latency": self.latency,
             "error": self.error,
         }
 

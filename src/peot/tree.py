@@ -38,14 +38,6 @@ Forward = namedtuple("Forward", "Z pre H logits P q leaf_probs pi S")
 
 
 @functools.lru_cache(maxsize=16)
-def _levels(depth):
-    """``(lo, hi)`` of each level, root first: level d holds the internal
-    nodes ``lo = 2^d - 1`` up to ``hi - 1 = 2^(d+1) - 2``, and their children
-    are the slots ``hi .. 2*hi``."""
-    return tuple((2 ** d - 1, 2 ** (d + 1) - 1) for d in range(depth))
-
-
-@functools.lru_cache(maxsize=16)
 def _batch_constants(B):
     """``np.arange(B)`` and the uniform weights ``np.full(B, 1 / B)``,
     read-only.  A training run asks for at most three sizes: the batch, a
@@ -53,6 +45,43 @@ def _batch_constants(B):
     cols, uniform = np.arange(B), np.full(B, 1.0 / B)
     cols.flags.writeable = uniform.flags.writeable = False
     return cols, uniform
+
+
+class _Buffers:
+    """The arrays of one forward and backward pass over ``B`` rows.
+
+    ``ObliqueTree.forward`` and ``_backward`` write into them through
+    ``out=``, and each pass overwrites what the last one left.  Row 0 of
+    ``q``, the root's visit probability 1, is set here once.  ``Hw`` is the
+    ``H * w2`` scratch of the forward pass and the ``dlogits * H`` scratch of
+    the backward pass.  ``down`` holds each level's views for the forward
+    level loop, root first, and ``up`` those of the backward loop, deepest
+    level first.
+    """
+
+    def __init__(self, tree, B):
+        n, h, _ = tree.W1.shape
+        self.pre, self.H, self.Hw, self.dpre = (np.empty((n, h, B)) for _ in range(4))
+        self.relu = np.empty((n, h, B), dtype=bool)
+        self.logits, self.P, self.notP, self.dP, self.dlogits = (
+            np.empty((n, B)) for _ in range(5))
+        self.q, self.dq = np.empty((2 * n + 1, B)), np.empty((2 * n + 1, B))
+        self.q[0] = 1.0
+        self.S, self.dS = np.empty((tree.n_classes, B)), np.empty((tree.n_classes, B))
+        q, dq, P, notP = self.q, self.dq, self.P, self.notP
+        self.pre2d, self.dpre2d = self.pre.reshape(n * h, B), self.dpre.reshape(n * h, B)
+        self.leaf_probs, self.dq_leaves, self.q_nodes = q[n:], dq[n:], q[:n]
+        self.dlogits3 = self.dlogits[:, None, :]
+        left, right, dl, dr = q[1::2], q[2::2], dq[1::2], dq[2::2]  # row i: node i's children
+        # (lo, hi) of each level, root first: level d holds the internal nodes
+        # lo = 2^d - 1 up to hi - 1 = 2^(d+1) - 2, whose children are slots hi .. 2*hi
+        levels = [(2 ** d - 1, 2 ** (d + 1) - 1) for d in range(tree.depth)]
+        self.down = [(q[lo:hi], notP[lo:hi], P[lo:hi], left[lo:hi], right[lo:hi])
+                     for lo, hi in levels]
+        # the backward loop's P * d_right goes through dP, which is written after it
+        self.up = [(slice(lo, hi), dq[lo:hi], notP[lo:hi], P[lo:hi], dl[lo:hi], dr[lo:hi],
+                    self.dP[lo:hi]) for lo, hi in reversed(levels)]
+        self.d_left, self.d_right = dl, dr
 
 
 def _softmax_rows(logits):
@@ -222,7 +251,7 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
     def standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mu) / self.sigma
 
-    def forward(self, x) -> Forward:
+    def forward(self, x, out=None) -> Forward:
         """Soft routing of a batch: node activations, routing probabilities
         ``P``, visit probabilities ``q`` over all 2n + 1 slots and the class
         mixture ``S``.
@@ -230,25 +259,29 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         ``q`` is filled one tree level at a time, root first: every node of
         a level passes ``q * (1 - P)`` to its left child and ``q * P`` to its
         right child in one array operation each.
+
+        The arrays are written into ``out``, the ``_Buffers`` of the batch's
+        row count, which training passes; without it they are fresh, so the
+        ``Forward`` a caller gets is never overwritten later.
         """
         Z = self.standardize(feature_batch(x, self.n_features, row=True))
         n, h, F = self.W1.shape
         B = Z.shape[0]
-        pre = (self.W1.reshape(n * h, F) @ Z.T).reshape(n, h, B) + self.b1[:, :, None]
-        H = np.maximum(pre, 0.0)
-        logits = np.add.reduce(H * self.w2[:, :, None], axis=1) + self.b2[:, None]
-        P = expit(logits)
-        q = np.empty((2 * n + 1, B))
-        q[0] = 1.0
-        left, right = q[1::2], q[2::2]  # row i: the children of node i
-        notP = 1.0 - P
-        for lo, hi in _levels(self.depth):
-            np.multiply(q[lo:hi], notP[lo:hi], out=left[lo:hi])
-            np.multiply(q[lo:hi], P[lo:hi], out=right[lo:hi])
-        leaf_probs = q[n:]
+        b = _Buffers(self, B) if out is None else out
+        np.matmul(self.W1.reshape(n * h, F), Z.T, out=b.pre2d)
+        np.add(b.pre, self.b1[:, :, None], out=b.pre)
+        np.maximum(b.pre, 0.0, out=b.H)
+        np.multiply(b.H, self.w2[:, :, None], out=b.Hw)
+        np.add.reduce(b.Hw, axis=1, out=b.logits)
+        np.add(b.logits, self.b2[:, None], out=b.logits)
+        expit(b.logits, out=b.P)
+        np.subtract(1.0, b.P, out=b.notP)
+        for q, notP, P, left, right in b.down:
+            np.multiply(q, notP, out=left)
+            np.multiply(q, P, out=right)
         pi = _softmax_rows(self.leaf_logits)
-        S = pi.T @ leaf_probs
-        return Forward(Z, pre, H, logits, P, q, leaf_probs, pi, S)
+        np.matmul(pi.T, b.leaf_probs, out=b.S)
+        return Forward(Z, b.pre, b.H, b.logits, b.P, b.q, b.leaf_probs, pi, b.S)
 
     def routing_probability(self, node: int, x) -> float:
         """Probability of routing RIGHT at one internal node."""
@@ -372,15 +405,16 @@ def _check_finite(tree: ObliqueTree, fw: Forward) -> None:
 
 
 def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
-              out: dict) -> None:
+              out: dict, buf: _Buffers) -> None:
     """Exact backprop through routing products and node networks, written
     into ``out``: one array per name of ``PARAM_NAMES``, shaped like the
     parameter.
 
-    ``dS`` is the loss gradient at the soft class mixture, or None;
-    ``dq_direct`` adds per-(node, sample) gradient directly on visit
-    probabilities (used by the power penalty); ``w1_direct`` is added to the
-    W1 gradient.
+    ``fw`` is the forward pass written into ``buf``, whose other arrays
+    hold the pass's intermediates.  ``dS`` is the loss gradient at the soft
+    class mixture, or None; ``dq_direct`` adds per-(node, sample) gradient
+    directly on visit probabilities (used by the power penalty);
+    ``w1_direct`` is added to the W1 gradient.
 
     The visit-probability gradient runs one level at a time, deepest level
     first: a node's is ``(1 - P) * d_left + P * d_right`` (plus
@@ -388,30 +422,29 @@ def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
     ``q * (d_right - d_left)`` for all nodes at once.
     """
     n, h, F = tree.W1.shape
-    B = fw.Z.shape[0]
-    dq = np.empty(fw.q.shape)
     if dS is not None:
-        np.matmul(fw.pi, dS, out=dq[n:])
+        np.matmul(fw.pi, dS, out=buf.dq_leaves)
         dpi = fw.leaf_probs @ dS.T
         np.multiply(fw.pi, dpi - np.add.reduce(dpi * fw.pi, axis=1, keepdims=True),
                     out=out["leaf_logits"])
     else:
-        dq[n:] = 0.0
+        buf.dq_leaves[...] = 0.0
         out["leaf_logits"][...] = 0.0
-    dl, dr = dq[1::2], dq[2::2]  # row i: the children of node i
-    notP = 1.0 - fw.P
-    for lo, hi in reversed(_levels(tree.depth)):
-        acc = np.multiply(notP[lo:hi], dl[lo:hi], out=dq[lo:hi])
-        acc += fw.P[lo:hi] * dr[lo:hi]
+    for level, acc, notP, P, dl, dr, scratch in buf.up:
+        np.multiply(notP, dl, out=acc)
+        acc += np.multiply(P, dr, out=scratch)
         if dq_direct is not None:
-            acc += dq_direct[lo:hi]
-    dP = fw.q[:n] * (dr - dl)
-    dlogits = dP * fw.P * notP
-    np.add.reduce(dlogits[:, None, :] * fw.H, axis=2, out=out["w2"])
+            acc += dq_direct[level]
+    dP = np.subtract(buf.d_right, buf.d_left, out=buf.dP)
+    np.multiply(buf.q_nodes, dP, out=dP)
+    dlogits = np.multiply(dP, fw.P, out=buf.dlogits)
+    dlogits *= buf.notP
+    np.add.reduce(np.multiply(buf.dlogits3, fw.H, out=buf.Hw), axis=2, out=out["w2"])
     np.add.reduce(dlogits, axis=1, out=out["b2"])
-    dpre = (dlogits[:, None, :] * tree.w2[:, :, None]) * (fw.pre > 0)
+    dpre = np.multiply(buf.dlogits3, tree.w2[:, :, None], out=buf.dpre)
+    dpre *= np.greater(fw.pre, 0, out=buf.relu)
     dW1 = out["W1"]
-    np.matmul(dpre.reshape(n * h, B), fw.Z, out=dW1.reshape(n * h, F))
+    np.matmul(buf.dpre2d, fw.Z, out=dW1.reshape(n * h, F))
     np.add.reduce(dpre, axis=2, out=out["b1"])
     if w1_direct is not None:
         dW1 += w1_direct
@@ -435,9 +468,10 @@ def _sample_weights(y, n_classes, class_weight):
 
 
 def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray,
-               value=True, grad=True):
+               value=True, grad=True, dS=None):
     """``(loss, dS)``: the weighted cross-entropy and its gradient at the
-    class mixture; each is None when not asked for."""
+    class mixture, written into ``dS`` if given; each is None when not
+    asked for."""
     cols = _batch_constants(y.size)[0]
     sy = fw.S[y, cols]
     clamped = np.maximum(sy, LOG_CLAMP)
@@ -445,7 +479,8 @@ def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray,
     if value:
         loss = float(-(weights * np.log(clamped)).sum())
     if grad:
-        dS = np.zeros(fw.S.shape)
+        dS = np.empty(fw.S.shape) if dS is None else dS
+        dS.fill(0.0)
         dS[y, cols] = np.where(sy > LOG_CLAMP, -weights / clamped, 0.0)
     return loss, dS
 
@@ -454,21 +489,21 @@ def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad,
                     value=True):
     """Penalty value (None unless ``value``), mean internal-node visit
     probabilities and the penalty's gradient injections for the backward
-    engine."""
-    c = cost_vector(cost_vec, tree.n_features)
-    r = np.add.reduce(np.abs(tree.W1), axis=1) @ c  # each node's cost-weighted group-L1
+    engine.  ``cost_vec`` is a checked ``cost_vector``."""
+    # each node's cost-weighted group-L1
+    r = np.add.reduce(np.abs(tree.W1), axis=1) @ cost_vec
     qbar = fw.q[: tree.n_internal] @ sample_weights
     dq_direct = np.multiply(r[:, None], sample_weights)  # np.outer(r, w)
     dq_direct *= lam
     w1_direct = None
     if l1_grad:
-        w1_direct = (lam * qbar)[:, None, None] * np.sign(tree.W1) * c[None, None, :]
+        w1_direct = (lam * qbar)[:, None, None] * np.sign(tree.W1) * cost_vec[None, None, :]
     return float(r @ qbar) if value else None, qbar, dq_direct, w1_direct
 
 
 def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
     """``X`` as a nonempty feature matrix of ``tree`` and ``y`` as its labels;
-    ``lam > 0`` needs a cost vector, which the penalty checks."""
+    ``lam > 0`` needs a cost vector, which ``_objective`` checks."""
     X, y = training_set(feature_batch(X, tree.n_features), y)
     if y.min() < 0 or y.max() >= tree.n_classes:
         raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
@@ -478,9 +513,9 @@ def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
 
 
 def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
-               out=None):
-    """The objective on a nonempty batch ``X``, which ``ObliqueTree.forward``
-    checks; ``y``, if given, holds one label in ``[0, n_classes)`` per row.
+               out=None, buf=None):
+    """The objective on a nonempty batch ``X``; ``y``, if given, holds one
+    label in ``[0, n_classes)`` per row.
 
     Weighted cross-entropy of the soft prediction plus ``lam`` times the
     batch-mean power penalty; ``y=None`` leaves the penalty alone.  Returns
@@ -496,8 +531,18 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
 
     ``l1_grad=False`` leaves the penalty's L1 term out of the W1 gradient
     (training applies it as a proximal step instead).
+
+    ``buf`` is training's: the ``_Buffers`` of ``X``'s row count, with
+    ``X`` a checked feature matrix and ``cost_vec`` a checked cost vector
+    (when ``lam > 0``).  Without it, both are checked here and the pass
+    gets fresh buffers.
     """
-    fw = tree.forward(X)
+    if buf is None:
+        X = feature_batch(X, tree.n_features, row=True)
+        buf = _Buffers(tree, X.shape[0])
+        if lam > 0:
+            cost_vec = cost_vector(cost_vec, tree.n_features)
+    fw = tree.forward(X, buf)
     B = fw.Z.shape[0]
     if B == 0:
         raise InvalidInputError("the objective needs a nonempty batch")
@@ -508,7 +553,7 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
     loss, dS = 0.0, None
     if y is not None:
         wce = _sample_weights(y, tree.n_classes, class_weight)
-        loss, dS = _ce_pieces(fw, y, wce, value, grad)
+        loss, dS = _ce_pieces(fw, y, wce, value, grad, buf.dS)
     dq_direct = w1_direct = qbar = None
     if lam > 0:
         pen, qbar, dq_direct, w1_direct = _penalty_pieces(
@@ -518,7 +563,7 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
             loss = loss + lam * pen
     if not grad:
         return loss, None, qbar
-    _backward(tree, fw, dS, dq_direct, w1_direct, out)
+    _backward(tree, fw, dS, dq_direct, w1_direct, out, buf)
     return loss if value else None, out, qbar
 
 
@@ -598,6 +643,15 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     views of one flat gradient vector laid out like the parameters, so the
     optimizer updates the parameter vector in place.
 
+    A run allocates its work arrays once.  Each epoch gathers ``X[perm]``
+    and ``y[perm]`` once, and every batch is a contiguous slice of that
+    copy.  Forward and backward passes write into one ``_Buffers`` set per
+    row count (the batch, a ragged last batch and the full set of the epoch
+    loss), with each level's views built with it.  The cost vector is
+    checked once per run.  The arrays and the order of every operation are
+    those of a freshly allocated pass, so the result is the same to the
+    byte.
+
     A warm start trains a copy of ``init_tree`` under the first-layer
     constraint of its ``compression`` state, if any.  Pruned weights are
     reset to exactly 0 after every step.  With a codebook the centroids are
@@ -631,11 +685,13 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     else:
         tree = init_tree.copy()
     X, y = _validate_batch(tree, X, y, config.lam, cost_vec)
+    c = cost_vector(cost_vec, tree.n_features) if config.lam > 0 else None
 
     use_prox = config.lam > 0 and config.l1_mode == "prox"
-    c = None if cost_vec is None else np.asarray(cost_vec, dtype=np.float64)
     comp = tree.compression
     codebook = None if comp is None else comp.codebook
+    if comp is not None:
+        pruned = np.flatnonzero(comp.pruned)
     if codebook is not None:
         # survivors by flat (node, row, column) index, with node and feature
         surv = np.flatnonzero(~comp.pruned)
@@ -668,30 +724,37 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     else:
         codebook.centroids = w1
     state = np.zeros_like(theta)
-    g = np.empty_like(theta)
+    g, step = np.empty_like(theta), np.empty_like(theta)
     grads = dict(zip(PARAM_NAMES, views(g)))
     if codebook is not None:
         g_centroids, grads["W1"] = grads["W1"], np.empty(tree.W1.shape)
 
+    # One buffer set per row count: the full set's (the epoch loss), the
+    # batch's and a ragged last batch's.
+    n, bs = X.shape[0], config.batch_size
+    sizes = [min(bs, n - start) for start in range(0, n, bs)]
+    buffers = {B: _Buffers(tree, B) for B in {n, *sizes}}
+    batches = [(slice(start, start + B), buffers[B])
+               for start, B in zip(range(0, n, bs), sizes)]
+
     def epoch_loss():
         return _objective(tree, X, y, config.lam, c, config.class_weight,
-                          grad=False)[0]
+                          grad=False, buf=buffers[n])[0]
 
     tree.history = [epoch_loss()]
-    n = X.shape[0]
     lr = config.learning_rate
     for epoch in range(config.epochs):
         lam = config.lam if epoch >= config.warmup_epochs else 0.0
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            qbar = _objective(tree, X[idx], y[idx], lam, c, config.class_weight,
-                              grad=True, l1_grad=not use_prox, out=grads)[2]
+        Xp, yp = X[perm], y[perm]
+        for rows, buf in batches:
+            qbar = _objective(tree, Xp[rows], yp[rows], lam, c, config.class_weight,
+                              grad=True, l1_grad=not use_prox, out=grads, buf=buf)[2]
             if codebook is not None:
                 g_centroids[...] = per_cluster(grads["W1"].ravel()[surv])
             if config.optimizer == "momentum":
                 state *= config.momentum
-                state -= lr * g
+                state -= np.multiply(lr, g, out=step)
                 theta += state
             else:
                 state *= 0.99
@@ -704,7 +767,7 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
                     thr = lr * lam * per_cluster(qbar[surv_node] * surv_cost)
                 _soft_threshold(w1, thr)
             if comp is not None:
-                tree.W1[comp.pruned] = 0.0
+                np.put(tree.W1, pruned, 0.0)
                 if codebook is not None:
                     np.put(tree.W1, surv, codebook.centroids[codebook.assignments])
         tree.history.append(epoch_loss())

@@ -1,6 +1,13 @@
 """Alternating parent/change pairs of gated benchmark runs.
 
     python3 tools/pairs.py --workload stream-seizure --seed 7 --pairs 10 --parent HEAD~1
+    python3 tools/pairs.py --workload report-finger,pipeline-seizure,stream-seizure \
+        --seed 7 --parent HEAD~1
+
+``--workload`` takes one workload or a comma-separated list.  The pairs of
+each workload run in turn, all against one extraction of the parent.  Each
+workload's report starts with a ``workload <name>`` line, printed before
+its first run, and is complete as soon as its pairs are done.
 
 Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once on
 the working tree (the change) and once on the parent rev's committed files,
@@ -164,6 +171,16 @@ def parent_checkout(rev: str, repo: Path = ROOT):
         shutil.rmtree(tmp, ignore_errors=True)
 
 
+def workload_list(text: str) -> list[str]:
+    """The workloads of a comma-separated ``--workload``, in order; an empty
+    or repeated name is an error."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct comma-separated workload names, got {text!r}")
+    return names
+
+
 def check_differs(rev: str, repo: Path = ROOT) -> None:
     """Fail when the working tree is clean and ``rev`` is its HEAD."""
     def git(*args):
@@ -177,7 +194,8 @@ def check_differs(rev: str, repo: Path = ROOT) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, type=workload_list,
+                        help="a workload name or a comma-separated list")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", required=True, help="git rev to compare against")
@@ -189,10 +207,14 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
     with parent_checkout(args.parent) as parent:
         checkouts = {"parent": parent, "change": ROOT}
-        pairs = run_pairs(args.pairs, {
-            side: lambda path=path: run_bench(path, args.workload, args.seed, seconds)
-            for side, path in checkouts.items()})
-    print("\n".join(summarize(pairs) + verdicts(pairs, bench["end_to_end"])))
+        for i, workload in enumerate(args.workload):
+            # the header comes first, so that a failed run follows its workload's name
+            print("\n" * (i > 0) + f"workload {workload}", flush=True)
+            pairs = run_pairs(args.pairs, {
+                side: lambda path=path, w=workload: run_bench(path, w, args.seed, seconds)
+                for side, path in checkouts.items()})
+            print("\n".join(summarize(pairs) + verdicts(pairs, bench["end_to_end"])),
+                  flush=True)
     return 0
 
 
