@@ -466,13 +466,10 @@ def cmd_eval(resolved, out):
         raise DataError(f"{resolved['model']}: train.n_classes is {n_classes!r}, "
                         f"the dataset has {int(y.max()) + 1} classes")
     te = _stored_test_indices(doc.train, container)
-    if te.size:
-        # only the stored test fold is scored, so only it is featurised
-        X_eval, y_eval, c, _ = _featurize(_rows(container, te), resolved, doc.pipeline)
-        split = "stored-test-fold"
-    else:
-        X_eval, y_eval, c, _ = _featurize(container, resolved, doc.pipeline)
-        split = "full-dataset"
+    # only the stored test fold is scored, so only it is featurised
+    split = "stored-test-fold" if te.size else "full-dataset"
+    X_eval, y_eval, c, _ = _featurize(_rows(container, te) if te.size else container,
+                                      resolved, doc.pipeline)
     _check_fits(X_eval, model, resolved["dataset"])
     metrics = compute_metrics(y_eval, model.predict(X_eval), n_classes)
     result = {"split": split, "metrics": metrics.to_doc()}

@@ -12,7 +12,7 @@ its single path, as extraction is shared; ``boosting.model_power`` is the
 same charge of ``GbtOvR.reads``.
 """
 
-from .tree import DEFAULT_PRUNE_THRESHOLD, ObliqueTree, _objective, charge
+from .tree import DEFAULT_PRUNE_THRESHOLD, ObliqueTree, _objective, _validate_batch, charge
 
 
 def power_penalty(tree: ObliqueTree, x, cost_vec) -> float:
@@ -21,12 +21,14 @@ def power_penalty(tree: ObliqueTree, x, cost_vec) -> float:
     Psi(x) = sum over internal nodes of P(visit | x) times the node's
     cost-weighted column-L1; zero iff all first-layer weights are zero.
     """
-    return _objective(tree, x, None, 1.0, cost_vec, None, grad=False)[0]
+    X, _, c = _validate_batch(tree, x, None, 1.0, cost_vec)
+    return _objective(tree, X, None, 1.0, c, None, grad=False)[0]
 
 
 def power_penalty_gradients(tree: ObliqueTree, x, cost_vec) -> dict:
     """Exact subgradient of the (batch-mean) penalty, sign(0) = 0."""
-    return _objective(tree, x, None, 1.0, cost_vec, None, grad=True)[1]
+    X, _, c = _validate_batch(tree, x, None, 1.0, cost_vec)
+    return _objective(tree, X, None, 1.0, c, None, grad=True)[1]
 
 
 def deployed_power(tree: ObliqueTree, X, cost_vec) -> float:

@@ -6,12 +6,14 @@ bursts (seizure-like, imbalanced binary), 4-8 Hz oscillation bursts
 (finger-movement-like, balanced 5-class).  Every generator is a pure
 function of its seed.
 
-The class signal is always spread over several channels while a fraction
-of the opposing windows carries a single-channel distractor of comparable
-magnitude, and each window gets a global amplitude jitter.  No single
-feature column separates the classes, so models must combine features;
-cheap combinations (line-length, variance across channels) remain
-sufficient, which is what cost-aware training is supposed to find.
+The class signal is always spread over several channels while a
+single-channel distractor of comparable magnitude rides on a fraction of
+the negative windows (seizure, tremor) or on every window (finger).  Each
+tremor and finger window gets a global amplitude jitter; seizure windows
+get none.  No single feature column separates the classes, so models must
+combine features; cheap combinations (line-length, variance across
+channels) remain sufficient, which is what cost-aware training is supposed
+to find.
 """
 
 import numpy as np

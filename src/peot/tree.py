@@ -52,7 +52,9 @@ class _Buffers:
 
     ``ObliqueTree.forward`` and ``_backward`` write into them through
     ``out=``, and each pass overwrites what the last one left.  Row 0 of
-    ``q``, the root's visit probability 1, is set here once.  ``Hw`` is the
+    ``q``, the root's visit probability 1, is set here once, and ``forward``
+    records its standardised batch ``Z`` and leaf distributions ``pi``, so
+    one set is the whole pass that ``_backward`` reads.  ``Hw`` is the
     ``H * w2`` scratch of the forward pass and the ``dlogits * H`` scratch of
     the backward pass.  ``down`` holds each level's views for the forward
     level loop, root first, and ``up`` those of the backward loop, deepest
@@ -279,9 +281,9 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
         for q, notP, P, left, right in b.down:
             np.multiply(q, notP, out=left)
             np.multiply(q, P, out=right)
-        pi = _softmax_rows(self.leaf_logits)
-        np.matmul(pi.T, b.leaf_probs, out=b.S)
-        return Forward(Z, b.pre, b.H, b.logits, b.P, b.q, b.leaf_probs, pi, b.S)
+        b.Z, b.pi = Z, _softmax_rows(self.leaf_logits)
+        np.matmul(b.pi.T, b.leaf_probs, out=b.S)
+        return Forward(Z, b.pre, b.H, b.logits, b.P, b.q, b.leaf_probs, b.pi, b.S)
 
     def routing_probability(self, node: int, x) -> float:
         """Probability of routing RIGHT at one internal node."""
@@ -395,23 +397,23 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
 # loss, gradients and the shared backward engine
 
 
-def _check_finite(tree: ObliqueTree, fw: Forward) -> None:
-    finite = np.isfinite(fw.logits)
+def _check_finite(buf: _Buffers) -> None:
+    finite = np.isfinite(buf.logits)
     if not np.logical_and.reduce(finite, axis=None):
         bad = np.flatnonzero(~np.logical_and.reduce(finite, axis=1))
         raise NumericError(f"non-finite routing logit at internal node {bad[0]}")
-    if not np.logical_and.reduce(np.isfinite(fw.S), axis=None):
+    if not np.logical_and.reduce(np.isfinite(buf.S), axis=None):
         raise NumericError("non-finite class mixture in forward pass")
 
 
-def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
-              out: dict, buf: _Buffers) -> None:
+def _backward(tree: ObliqueTree, buf: _Buffers, dS, dq_direct, w1_direct,
+              out: dict) -> None:
     """Exact backprop through routing products and node networks, written
     into ``out``: one array per name of ``PARAM_NAMES``, shaped like the
     parameter.
 
-    ``fw`` is the forward pass written into ``buf``, whose other arrays
-    hold the pass's intermediates.  ``dS`` is the loss gradient at the soft
+    ``buf`` holds the forward pass and takes the backward pass's
+    intermediates.  ``dS`` is the loss gradient at the soft
     class mixture, or None; ``dq_direct`` adds per-(node, sample) gradient
     directly on visit probabilities (used by the power penalty);
     ``w1_direct`` is added to the W1 gradient.
@@ -423,9 +425,9 @@ def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
     """
     n, h, F = tree.W1.shape
     if dS is not None:
-        np.matmul(fw.pi, dS, out=buf.dq_leaves)
-        dpi = fw.leaf_probs @ dS.T
-        np.multiply(fw.pi, dpi - np.add.reduce(dpi * fw.pi, axis=1, keepdims=True),
+        np.matmul(buf.pi, dS, out=buf.dq_leaves)
+        dpi = buf.leaf_probs @ dS.T
+        np.multiply(buf.pi, dpi - np.add.reduce(dpi * buf.pi, axis=1, keepdims=True),
                     out=out["leaf_logits"])
     else:
         buf.dq_leaves[...] = 0.0
@@ -437,41 +439,34 @@ def _backward(tree: ObliqueTree, fw: Forward, dS, dq_direct, w1_direct,
             acc += dq_direct[level]
     dP = np.subtract(buf.d_right, buf.d_left, out=buf.dP)
     np.multiply(buf.q_nodes, dP, out=dP)
-    dlogits = np.multiply(dP, fw.P, out=buf.dlogits)
+    dlogits = np.multiply(dP, buf.P, out=buf.dlogits)
     dlogits *= buf.notP
-    np.add.reduce(np.multiply(buf.dlogits3, fw.H, out=buf.Hw), axis=2, out=out["w2"])
+    np.add.reduce(np.multiply(buf.dlogits3, buf.H, out=buf.Hw), axis=2, out=out["w2"])
     np.add.reduce(dlogits, axis=1, out=out["b2"])
     dpre = np.multiply(buf.dlogits3, tree.w2[:, :, None], out=buf.dpre)
-    dpre *= np.greater(fw.pre, 0, out=buf.relu)
+    dpre *= np.greater(buf.pre, 0, out=buf.relu)
     dW1 = out["W1"]
-    np.matmul(buf.dpre2d, fw.Z, out=dW1.reshape(n * h, F))
+    np.matmul(buf.dpre2d, buf.Z, out=dW1.reshape(n * h, F))
     np.add.reduce(dpre, axis=2, out=out["b1"])
     if w1_direct is not None:
         dW1 += w1_direct
 
 
-def _class_weights(y, n_classes, mode):
-    if mode is None:
-        return None
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    counts[counts == 0] = 1.0
-    return y.size / (n_classes * counts)
-
-
 def _sample_weights(y, n_classes, class_weight):
     """Per-sample CE weights, normalized to sum to 1."""
-    cw = _class_weights(y, n_classes, class_weight)
-    if cw is None:
+    if class_weight is None:
         return _batch_constants(y.size)[1]
-    w = cw[y]
+    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    counts[counts == 0] = 1.0
+    w = (y.size / (n_classes * counts))[y]
     return w / np.add.reduce(w)
 
 
-def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray,
+def _ce_pieces(fw, y: np.ndarray, weights: np.ndarray,
                value=True, grad=True, dS=None):
     """``(loss, dS)``: the weighted cross-entropy and its gradient at the
-    class mixture, written into ``dS`` if given; each is None when not
-    asked for."""
+    class mixture ``fw.S`` of a pass (its ``_Buffers`` or a ``Forward``),
+    written into ``dS`` if given; each is None when not asked for."""
     cols = _batch_constants(y.size)[0]
     sy = fw.S[y, cols]
     clamped = np.maximum(sy, LOG_CLAMP)
@@ -486,36 +481,45 @@ def _ce_pieces(fw: Forward, y: np.ndarray, weights: np.ndarray,
 
 
 def _penalty_pieces(tree, fw, lam, cost_vec, sample_weights, l1_grad,
-                    value=True):
+                    value=True, *, grad=True):
     """Penalty value (None unless ``value``), mean internal-node visit
     probabilities and the penalty's gradient injections for the backward
-    engine.  ``cost_vec`` is a checked ``cost_vector``."""
+    engine (None unless ``grad``).  ``cost_vec`` is a checked
+    ``cost_vector``."""
     # each node's cost-weighted group-L1
     r = np.add.reduce(np.abs(tree.W1), axis=1) @ cost_vec
     qbar = fw.q[: tree.n_internal] @ sample_weights
-    dq_direct = np.multiply(r[:, None], sample_weights)  # np.outer(r, w)
-    dq_direct *= lam
-    w1_direct = None
+    dq_direct = w1_direct = None
+    if grad:
+        dq_direct = np.multiply(r[:, None], sample_weights)  # np.outer(r, w)
+        dq_direct *= lam
     if l1_grad:
         w1_direct = (lam * qbar)[:, None, None] * np.sign(tree.W1) * cost_vec[None, None, :]
     return float(r @ qbar) if value else None, qbar, dq_direct, w1_direct
 
 
 def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
-    """``X`` as a nonempty feature matrix of ``tree`` and ``y`` as its labels;
-    ``lam > 0`` needs a cost vector, which ``_objective`` checks."""
-    X, y = training_set(feature_batch(X, tree.n_features), y)
-    if y.min() < 0 or y.max() >= tree.n_classes:
-        raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
+    """The one check of an objective's inputs, for all of its entries:
+    ``(X, y, c)`` with ``X`` a nonempty feature matrix of ``tree``, ``y`` one
+    label in ``[0, n_classes)`` per row and ``c`` the checked cost vector,
+    or None when ``lam`` is 0.  The penalty passes ``y=None``; its 1-D ``X``
+    is one row."""
+    if y is None:
+        X = feature_batch(X, tree.n_features, row=True)
+        if X.shape[0] == 0:
+            raise InvalidInputError("the objective needs a nonempty batch")
+    else:
+        X, y = training_set(feature_batch(X, tree.n_features), y)
+        if y.min() < 0 or y.max() >= tree.n_classes:
+            raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
     if lam > 0 and cost_vec is None:
-        raise InvalidInputError("lam > 0 requires a cost vector")
-    return X, y
+        raise InvalidInputError("the power penalty (lam > 0) requires a cost vector")
+    return X, y, cost_vector(cost_vec, tree.n_features) if lam > 0 else None
 
 
 def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
                out=None, buf=None):
-    """The objective on a nonempty batch ``X``; ``y``, if given, holds one
-    label in ``[0, n_classes)`` per row.
+    """The objective on inputs checked by ``_validate_batch``.
 
     Weighted cross-entropy of the soft prediction plus ``lam`` times the
     batch-mean power penalty; ``y=None`` leaves the penalty alone.  Returns
@@ -532,45 +536,37 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
     ``l1_grad=False`` leaves the penalty's L1 term out of the W1 gradient
     (training applies it as a proximal step instead).
 
-    ``buf`` is training's: the ``_Buffers`` of ``X``'s row count, with
-    ``X`` a checked feature matrix and ``cost_vec`` a checked cost vector
-    (when ``lam > 0``).  Without it, both are checked here and the pass
-    gets fresh buffers.
+    The pass runs in ``buf``, training's ``_Buffers`` of ``X``'s row count,
+    or in a fresh set without it.
     """
-    if buf is None:
-        X = feature_batch(X, tree.n_features, row=True)
-        buf = _Buffers(tree, X.shape[0])
-        if lam > 0:
-            cost_vec = cost_vector(cost_vec, tree.n_features)
-    fw = tree.forward(X, buf)
-    B = fw.Z.shape[0]
-    if B == 0:
-        raise InvalidInputError("the objective needs a nonempty batch")
-    _check_finite(tree, fw)
+    B = X.shape[0]
+    buf = _Buffers(tree, B) if buf is None else buf
+    tree.forward(X, buf)
+    _check_finite(buf)
     value = out is None
     if grad and out is None:
         out = {name: np.empty(getattr(tree, name).shape) for name in PARAM_NAMES}
     loss, dS = 0.0, None
     if y is not None:
         wce = _sample_weights(y, tree.n_classes, class_weight)
-        loss, dS = _ce_pieces(fw, y, wce, value, grad, buf.dS)
+        loss, dS = _ce_pieces(buf, y, wce, value, grad, buf.dS)
     dq_direct = w1_direct = qbar = None
     if lam > 0:
         pen, qbar, dq_direct, w1_direct = _penalty_pieces(
-            tree, fw, lam, cost_vec, _batch_constants(B)[1],
-            grad and l1_grad, value)
+            tree, buf, lam, cost_vec, _batch_constants(B)[1],
+            grad and l1_grad, value, grad=grad)
         if value:
             loss = loss + lam * pen
     if not grad:
         return loss, None, qbar
-    _backward(tree, fw, dS, dq_direct, w1_direct, out, buf)
+    _backward(tree, buf, dS, dq_direct, w1_direct, out)
     return loss if value else None, out, qbar
 
 
 def loss_value(tree, X, y, lam=0.0, cost_vec=None, class_weight=None) -> float:
     """Objective value only: weighted cross-entropy + lam * mean penalty."""
-    X, y = _validate_batch(tree, X, y, lam, cost_vec)
-    return _objective(tree, X, y, lam, cost_vec, class_weight, grad=False)[0]
+    X, y, c = _validate_batch(tree, X, y, lam, cost_vec)
+    return _objective(tree, X, y, lam, c, class_weight, grad=False)[0]
 
 
 def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
@@ -580,8 +576,8 @@ def loss_and_gradients(tree, X, y, lam=0.0, cost_vec=None, class_weight=None):
     the soft prediction, plus ``lam`` times the mean power penalty.  The
     penalty's L1 term uses the sign(0) = 0 subgradient.
     """
-    X, y = _validate_batch(tree, X, y, lam, cost_vec)
-    loss, grads, _ = _objective(tree, X, y, lam, cost_vec, class_weight, grad=True)
+    X, y, c = _validate_batch(tree, X, y, lam, cost_vec)
+    loss, grads, _ = _objective(tree, X, y, lam, c, class_weight, grad=True)
     return loss, grads
 
 
@@ -647,10 +643,11 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     and ``y[perm]`` once, and every batch is a contiguous slice of that
     copy.  Forward and backward passes write into one ``_Buffers`` set per
     row count (the batch, a ragged last batch and the full set of the epoch
-    loss), with each level's views built with it.  The cost vector is
-    checked once per run.  The arrays and the order of every operation are
-    those of a freshly allocated pass, so the result is the same to the
-    byte.
+    loss), with each level's views built with it.  ``X``, ``y`` and the
+    cost vector go through ``_validate_batch`` once per run, against the
+    tree being trained; a fresh tree is first sized from ``training_set(X,
+    y)``.  The arrays and the order of every operation are those of a
+    freshly allocated pass, so the result is the same to the byte.
 
     A warm start trains a copy of ``init_tree`` under the first-layer
     constraint of its ``compression`` state, if any.  Pruned weights are
@@ -668,14 +665,11 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     ``MAX_PARAM_ABS`` (1e6) in magnitude; see ``_check_divergence``.
     """
     config.validate()
-    X, y = training_set(X, y)
-    if init_tree is not None:
-        n_classes = init_tree.n_classes
-    elif n_classes is None:
-        n_classes = int(y.max()) + 1
     rng = np.random.default_rng(config.seed)
-
     if init_tree is None:
+        X, y = training_set(X, y)
+        if n_classes is None:
+            n_classes = int(y.max()) + 1
         mu = X.mean(axis=0)
         sigma = np.maximum(X.std(axis=0), SIGMA_FLOOR)
         tree = ObliqueTree.random(
@@ -684,8 +678,7 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
         )
     else:
         tree = init_tree.copy()
-    X, y = _validate_batch(tree, X, y, config.lam, cost_vec)
-    c = cost_vector(cost_vec, tree.n_features) if config.lam > 0 else None
+    X, y, c = _validate_batch(tree, X, y, config.lam, cost_vec)
 
     use_prox = config.lam > 0 and config.l1_mode == "prox"
     comp = tree.compression

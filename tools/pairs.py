@@ -182,10 +182,15 @@ def workload_list(text: str) -> list[str]:
 
 
 def check_differs(rev: str, repo: Path = ROOT) -> None:
-    """Fail when the working tree is clean and ``rev`` is its HEAD."""
+    """Fail when the working tree is clean and ``rev`` is its HEAD, and with
+    git's first line of error when ``repo`` is no git checkout or lacks
+    ``rev``."""
     def git(*args):
-        return subprocess.run(["git", *args], cwd=repo, check=True,
-                              capture_output=True, text=True).stdout.strip()
+        run = subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True)
+        if run.returncode:
+            reason = run.stderr.strip().partition("\n")[0]
+            raise SystemExit(f"git {args[0]} failed in {repo}: {reason}")
+        return run.stdout.strip()
     if git("rev-parse", f"{rev}^{{commit}}") == git("rev-parse", "HEAD") \
             and not git("status", "--porcelain"):
         raise SystemExit(f"--parent {rev} is the clean working tree's HEAD; "
