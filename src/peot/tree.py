@@ -54,15 +54,18 @@ class _Buffers:
     ``out=``, and each pass overwrites what the last one left.  Row 0 of
     ``q``, the root's visit probability 1, is set here once, and ``forward``
     records its standardised batch ``Z`` and leaf distributions ``pi``, so
-    one set is the whole pass that ``_backward`` reads.  ``Hw`` is the
-    ``H * w2`` scratch of the forward pass and the ``dlogits * H`` scratch of
-    the backward pass.  ``down`` holds each level's views for the forward
-    level loop, root first, and ``up`` those of the backward loop, deepest
-    level first.
+    one set is the whole pass that ``_backward`` reads.  A set built with
+    ``standardized=True``, as training builds its sets, takes rows that are
+    standardised already, so ``forward`` neither checks nor standardises
+    them.  ``Hw`` is the ``H * w2`` scratch of the forward pass and the
+    ``dlogits * H`` scratch of the backward pass.  ``down`` holds each
+    level's views for the forward level loop, root first, and ``up`` those
+    of the backward loop, deepest level first.
     """
 
-    def __init__(self, tree, B):
+    def __init__(self, tree, B, standardized=False):
         n, h, _ = tree.W1.shape
+        self.standardized = standardized
         self.pre, self.H, self.Hw, self.dpre = (np.empty((n, h, B)) for _ in range(4))
         self.relu = np.empty((n, h, B), dtype=bool)
         self.logits, self.P, self.notP, self.dP, self.dlogits = (
@@ -264,9 +267,14 @@ class ObliqueTree(serialize.Stored, kind="oblique-tree"):
 
         The arrays are written into ``out``, the ``_Buffers`` of the batch's
         row count, which training passes; without it they are fresh, so the
-        ``Forward`` a caller gets is never overwritten later.
+        ``Forward`` a caller gets is never overwritten later.  ``x`` is
+        checked and standardised, except into training's buffers, which
+        take the rows of the run's standardised matrix as they are.
         """
-        Z = self.standardize(feature_batch(x, self.n_features, row=True))
+        if out is not None and out.standardized:
+            Z = x
+        else:
+            Z = self.standardize(feature_batch(x, self.n_features, row=True))
         n, h, F = self.W1.shape
         B = Z.shape[0]
         b = _Buffers(self, B) if out is None else out
@@ -537,7 +545,7 @@ def _objective(tree, X, y, lam, cost_vec, class_weight, grad, l1_grad=True,
     (training applies it as a proximal step instead).
 
     The pass runs in ``buf``, training's ``_Buffers`` of ``X``'s row count,
-    or in a fresh set without it.
+    whose ``X`` is standardised already, or in a fresh set without it.
     """
     B = X.shape[0]
     buf = _Buffers(tree, B) if buf is None else buf
@@ -639,15 +647,18 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     views of one flat gradient vector laid out like the parameters, so the
     optimizer updates the parameter vector in place.
 
-    A run allocates its work arrays once.  Each epoch gathers ``X[perm]``
-    and ``y[perm]`` once, and every batch is a contiguous slice of that
-    copy.  Forward and backward passes write into one ``_Buffers`` set per
-    row count (the batch, a ragged last batch and the full set of the epoch
-    loss), with each level's views built with it.  ``X``, ``y`` and the
-    cost vector go through ``_validate_batch`` once per run, against the
-    tree being trained; a fresh tree is first sized from ``training_set(X,
-    y)``.  The arrays and the order of every operation are those of a
-    freshly allocated pass, so the result is the same to the byte.
+    A run allocates its work arrays once.  ``X``, ``y`` and the cost
+    vector go through ``_validate_batch`` once per run, against the tree
+    being trained (a fresh tree is first sized from ``training_set(X,
+    y)``), and ``X`` is standardised once, with the tree's ``mu`` and
+    ``sigma``, which training never moves.  Each epoch gathers the permuted
+    rows of that standardised matrix and ``y[perm]`` once, and every batch
+    is a contiguous slice of that copy.  Forward and backward passes write
+    into one ``_Buffers`` set per row count (the batch, a ragged last batch
+    and the full set of the epoch loss), built ``standardized=True`` so
+    ``forward`` takes the rows as they are.  Standardising is elementwise
+    and the arrays and the order of every operation are those of a freshly
+    allocated pass on the raw rows, so the result is the same to the byte.
 
     A warm start trains a copy of ``init_tree`` under the first-layer
     constraint of its ``compression`` state, if any.  Pruned weights are
@@ -679,6 +690,7 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     else:
         tree = init_tree.copy()
     X, y, c = _validate_batch(tree, X, y, config.lam, cost_vec)
+    Z = tree.standardize(X)
 
     use_prox = config.lam > 0 and config.l1_mode == "prox"
     comp = tree.compression
@@ -726,12 +738,12 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     # batch's and a ragged last batch's.
     n, bs = X.shape[0], config.batch_size
     sizes = [min(bs, n - start) for start in range(0, n, bs)]
-    buffers = {B: _Buffers(tree, B) for B in {n, *sizes}}
+    buffers = {B: _Buffers(tree, B, standardized=True) for B in {n, *sizes}}
     batches = [(slice(start, start + B), buffers[B])
                for start, B in zip(range(0, n, bs), sizes)]
 
     def epoch_loss():
-        return _objective(tree, X, y, config.lam, c, config.class_weight,
+        return _objective(tree, Z, y, config.lam, c, config.class_weight,
                           grad=False, buf=buffers[n])[0]
 
     tree.history = [epoch_loss()]
@@ -739,9 +751,9 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     for epoch in range(config.epochs):
         lam = config.lam if epoch >= config.warmup_epochs else 0.0
         perm = rng.permutation(n)
-        Xp, yp = X[perm], y[perm]
+        Zp, yp = Z[perm], y[perm]
         for rows, buf in batches:
-            qbar = _objective(tree, Xp[rows], yp[rows], lam, c, config.class_weight,
+            qbar = _objective(tree, Zp[rows], yp[rows], lam, c, config.class_weight,
                               grad=True, l1_grad=not use_prox, out=grads, buf=buf)[2]
             if codebook is not None:
                 g_centroids[...] = per_cluster(grads["W1"].ravel()[surv])
