@@ -17,11 +17,12 @@ weights produces the compressed variant.
 Every boosted model is a ``GbtOvR`` read through ``model.ensembles``: one
 binary ensemble per class, or one member for a binary task.  A one-member
 model is stored as its member's ``gbt-ensemble`` document.  Like an
-``ObliqueTree`` it answers ``predict`` and ``reads``, which ``model_power``
-prices (``tree.charge``), so ``model_power`` takes a ``GbtOvR``.  A bare
-``GbtEnsemble`` (from the public ``train_gbt``) stays sizable: its
-``ensembles`` is itself.
-Configs, trees and models are stored through the ``serialize`` codec.
+``ObliqueTree`` it answers ``predict`` and ``reads`` (batches only), which
+``model_power`` prices (``tree.charge``).  A bare ``GbtEnsemble`` (from the
+public ``train_gbt``) stays sizable: its ``ensembles`` is itself.  Labels
+and prices pass the tree's one check of each (``class_labels``,
+``cost_vector``), the prices only when ``cost_lambda > 0``.  Configs, trees
+and models are stored through the ``serialize`` codec.
 """
 
 import warnings
@@ -188,7 +189,8 @@ class _TreeBuilder:
         self.g = g
         self.h = h
         self.cfg = config
-        self.cost_vec = cost_vec
+        self.cost_vec = (np.ones(X.shape[1]) if cost_vec is None
+                         else np.asarray(cost_vec, float))
         self.order, self.sorted_x, self.rank = (_sorted_columns(X) if columns is None
                                                 else columns)
         self.used_features: set[int] = set()  # resets per tree
@@ -223,11 +225,9 @@ class _TreeBuilder:
         GR, HR = G - GL, H - HL
         gains = 0.5 * (GL * GL / (HL + cfg.reg_lambda)
                        + GR * GR / (HR + cfg.reg_lambda) - parent)
-        F = rows.shape[0]
         if cfg.cost_lambda > 0:
             # the first-use penalty; subtracting 0.0 leaves a used column as is
-            cost = np.ones(F) if self.cost_vec is None else np.asarray(self.cost_vec, float)
-            penalty = cfg.cost_lambda * cost
+            penalty = cfg.cost_lambda * self.cost_vec
             penalty[list(self.used_features)] = 0.0
             gains -= penalty[:, None]
         cand = xs[:, lo + 1:hi + 1] > xs[:, lo:hi]  # no threshold inside a tie
@@ -272,8 +272,6 @@ def train_gbt(X, y, config: GbtConfig, cost_vec=None) -> GbtEnsemble:
         raise InvalidInputError("train_gbt needs binary 0/1 labels")
     if config.cost_lambda > 0 and cost_vec is not None:
         cost_vec = cost_vector(cost_vec, X.shape[1])
-        if not np.isfinite(cost_vec).all():
-            raise InvalidInputError("feature costs must be finite")
     p = float(np.clip(y.mean(), PROB_CLAMP, 1.0 - PROB_CLAMP))
     base = float(np.log(p / (1.0 - p)))
     if y.min() == y.max():
@@ -405,7 +403,8 @@ def quantize_model(model: GbtOvR) -> GbtOvR:
 
 def predict_labels(model: GbtOvR, X) -> np.ndarray:
     """The one member's thresholded probability (``predict_gbt``), else the
-    class whose member has the top margin."""
+    class whose member has the top margin; ``X`` is a batch, as for ``reads``."""
+    X = feature_batch(X, model.n_features)
     if len(model.ensembles) == 1:
         return predict_gbt(model.ensembles[0], X)[2]
     return np.argmax(np.stack([e.margins(X) for e in model.ensembles]), axis=0)

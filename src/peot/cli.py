@@ -9,12 +9,13 @@ its own directory.  Config-file values get the same type and choice checks
 as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
 codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  A bad
-flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2.  A
+flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2, a table
+with a non-finite price (``json`` reads ``Infinity``) among them.  A
 malformed ``dataset.json`` or ``model.json`` exits 3 (so do a dataset
 without rows, a non-finite feature or sample and a feature matrix of other
 than bool, int or float values), and so does a stored pipeline that is
-malformed or does not fit the recording it featurises, or a feature matrix
-whose column count is not the model's.
+malformed (a non-finite price too) or does not fit the recording it
+featurises, or a feature matrix whose column count is not the model's.
 """
 
 import argparse
@@ -45,7 +46,6 @@ from .features import (
     default_feature_spec,
     extract_features,
     feature_cost_vector,
-    validate_cost_table,
 )
 from .tree import CLASS_WEIGHTS, OPTIMIZERS, TrainConfig
 
@@ -263,8 +263,7 @@ def _load_spec_and_costs(resolved, recording) -> tuple[FeatureSpec, dict]:
     except DataError as exc:  # a flag's file is configuration
         raise ConfigError(str(exc)) from exc
     table = _load_json(table_path) if table_path else dict(DEFAULT_COST_TABLE)
-    validate_cost_table(table)
-    return spec, table
+    return spec, table  # the table is checked where it prices the spec
 
 
 def _featurize(container, resolved, stored=None):
@@ -394,9 +393,7 @@ def cmd_train(resolved, out):
 
     if resolved["model"] == "peot":
         cfg = _train_config(resolved)
-        model = tree_mod.train(X[tr_idx], y[tr_idx], cfg,
-                               cost_vec=c if cfg.lam > 0 else None,
-                               n_classes=n_classes)
+        model = tree_mod.train(X[tr_idx], y[tr_idx], cfg, cost_vec=c, n_classes=n_classes)
     else:
         cfg = GbtConfig(
             n_trees=resolved["n_trees"], max_depth=resolved["max_depth"],
@@ -404,10 +401,7 @@ def cmd_train(resolved, out):
             cost_lambda=resolved["cost_lambda"]
             if resolved["model"] == "pegb" else 0.0,
         )
-        model = boosting.train_gbt_multiclass(
-            X[tr_idx], y[tr_idx], cfg,
-            cost_vec=c if cfg.cost_lambda > 0 else None,
-        )
+        model = boosting.train_gbt_multiclass(X[tr_idx], y[tr_idx], cfg, cost_vec=c)
         if resolved["model"] == "pegb":
             model = boosting.quantize_model(model)
 
@@ -445,7 +439,7 @@ def cmd_compress(resolved, out):
         ft_cfg,
         X_eval=X[te] if te.size else None,
         y_eval=y[te] if te.size else None,
-        cost_vec=c if lam > 0 else None,
+        cost_vec=c,
     )
     report["split"] = "stored-test-fold" if te.size else "full-dataset"
     compressed = {"sparsity": resolved["sparsity"], "share_bits": resolved["share_bits"],

@@ -147,37 +147,33 @@ def _open_text(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _read_idx(path, magic: int, kind: str) -> tuple[list[int], bytes]:
+    """``(shape, payload)`` of either IDX file, else a ``DataError``: the
+    magic's last byte counts the big-endian uint32 sizes after it, and the
+    payload holds their product of bytes."""
+    raw = _read_binary(path)
+    start = 4 * (1 + (magic & 0xFF))
+    if len(raw) < start:
+        raise DataError(f"{path}: truncated IDX header at byte {len(raw)}")
+    found, *shape = struct.unpack(f">{start // 4}I", raw[:start])
+    if found != magic:
+        raise DataError(f"{path}: bad IDX {kind} magic 0x{found:08x} at byte 0 "
+                        f"(expected 0x{magic:08x})")
+    end = start + math.prod(shape)
+    if len(raw) < end:
+        raise DataError(f"{path}: truncated IDX payload at byte {len(raw)}")
+    return shape, raw[start:end]
+
+
 def read_idx_images(path) -> np.ndarray:
     """Parse an IDX3 image file into a (n, rows*cols) uint8 matrix."""
-    raw = _read_binary(path)
-    if len(raw) < 16:
-        raise DataError(f"{path}: truncated IDX header at byte {len(raw)}")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(
-            f"{path}: bad IDX image magic 0x{magic:08x} at byte 0 "
-            f"(expected 0x{IDX_IMAGES_MAGIC:08x})"
-        )
-    expected = 16 + n * rows * cols
-    if len(raw) < expected:
-        raise DataError(f"{path}: truncated IDX payload at byte {len(raw)}")
-    payload = raw[16:expected]
+    (n, rows, cols), payload = _read_idx(path, IDX_IMAGES_MAGIC, "image")
     return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols).copy()
 
 
 def read_idx_labels(path) -> np.ndarray:
-    raw = _read_binary(path)
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated IDX header at byte {len(raw)}")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(
-            f"{path}: bad IDX label magic 0x{magic:08x} at byte 0 "
-            f"(expected 0x{IDX_LABELS_MAGIC:08x})"
-        )
-    if len(raw) < 8 + n:
-        raise DataError(f"{path}: truncated IDX payload at byte {len(raw)}")
-    return np.frombuffer(raw[8:8 + n], dtype=np.uint8).astype(np.int64)
+    _, payload = _read_idx(path, IDX_LABELS_MAGIC, "label")
+    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
 def ingest_idx(images_path, labels_path) -> Dataset:

@@ -49,20 +49,17 @@ def compute_metrics(y_true, y_pred, n_classes: int | None = None) -> Metrics:
 
     Binary tasks report positive-class F1 and sensitivity/specificity of
     classes 1/0; multiclass tasks report macro averages (one-vs-rest
-    specificity).  Labels and predictions must lie in [0, n_classes),
-    n_classes being at least 2.
+    specificity).  Labels and predictions are ``tree.class_labels`` below
+    n_classes, n_classes being at least 2.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    y_true, y_pred = tree_mod.class_labels(y_true), tree_mod.class_labels(y_pred)
     if y_true.size == 0 or y_true.shape != y_pred.shape:
         raise InvalidInputError("labels and predictions must be equal-length, nonempty")
     if n_classes is None:
         n_classes = int(max(y_true.max(), y_pred.max())) + 1
     n_classes = max(n_classes, 2)
-    if min(y_true.min(), y_pred.min()) < 0 or \
-            max(y_true.max(), y_pred.max()) >= n_classes:
-        raise InvalidInputError(
-            f"labels and predictions must lie in [0, {n_classes})")
+    if max(y_true.max(), y_pred.max()) >= n_classes:
+        raise InvalidInputError(f"labels and predictions must lie in [0, {n_classes})")
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(conf, (y_true, y_pred), 1)
     accuracy = float(np.trace(conf) / conf.sum())
@@ -113,7 +110,7 @@ def make_folds(n: int, k: int, scheme: str = "blocks", seed: int = 0,
         if y is None:
             raise InvalidInputError("stratified folds need labels")
         rng = _fold_rng(fingerprint, seed)
-        y = np.asarray(y, dtype=np.int64)
+        y = tree_mod.class_labels(y)
         # each class's rows shuffled, in label order, then dealt to the folds in turn
         classes = [np.flatnonzero(y == cls) for cls in np.unique(y)]
         order = np.concatenate([idx[rng.permutation(idx.size)] for idx in classes])

@@ -95,7 +95,7 @@ class FeatureSpec:
         top_channel, bands_ordered, top_hi = self._limits
         if top_channel < n_channels and bands_ordered and top_hi < fs / 2.0:
             return
-        # name the first offending entry
+        # name the first offending entry; a band by the filter design's own check
         for entry in self.entries:
             if entry.channel >= n_channels:
                 raise InvalidInputError(
@@ -103,11 +103,7 @@ class FeatureSpec:
                     f"recording has {n_channels}"
                 )
             if entry.kind == BAND_POWER:
-                lo, hi = entry.band
-                if not 0.0 < lo < hi < fs / 2.0:
-                    raise InvalidInputError(
-                        f"band ({lo}, {hi}) must satisfy 0 < lo < hi < fs/2 = {fs / 2}"
-                    )
+                design_bandpass(*entry.band, fs)
 
     @functools.cached_property
     def _limits(self) -> tuple[int, bool, float]:
@@ -325,10 +321,12 @@ def feature_cost_vector(spec: FeatureSpec, table: dict) -> np.ndarray:
 
 
 def validate_cost_table(table: dict) -> None:
+    """A ``ConfigError`` unless ``table`` prices known kinds at finite numbers > 0."""
     if not isinstance(table, dict) or not table:
         raise ConfigError("cost table must be a non-empty mapping")
     for kind, cost in table.items():
         if kind not in FEATURE_KINDS:
             raise ConfigError(f"cost table prices unknown kind {kind!r}")
-        if isinstance(cost, bool) or not isinstance(cost, (int, float)) or not cost > 0:
-            raise ConfigError(f"cost for {kind!r} must be a number > 0, got {cost!r}")
+        if isinstance(cost, bool) or not isinstance(cost, (int, float)) \
+                or not 0 < cost < np.inf:
+            raise ConfigError(f"cost for {kind!r} must be a finite number > 0, got {cost!r}")

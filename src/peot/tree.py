@@ -151,13 +151,28 @@ def feature_batch(x, n_features: int, *, row: bool = False) -> np.ndarray:
 
 
 def cost_vector(cost_vec, n_features: int) -> np.ndarray:
-    """The one check of a cost vector: ``cost_vec`` as a float64 vector of
-    one price per feature column, else an ``InvalidInputError``."""
+    """The one check of prices, for both model kinds: ``cost_vec`` as a float64
+    vector of one finite price per feature column, else an ``InvalidInputError``."""
     c = np.asarray(cost_vec, dtype=np.float64)
     if c.shape != (n_features,):
         raise InvalidInputError(f"cost vector length must equal feature count "
                                 f"({n_features}), got shape {c.shape}")
+    if not np.logical_and.reduce(np.isfinite(c)):
+        raise InvalidInputError(f"cost vector prices must be finite, got {c[~np.isfinite(c)]}")
     return c
+
+
+def class_labels(y) -> np.ndarray:
+    """The one check of class labels, for both model kinds and the metrics:
+    ``y`` as int64 integers >= 0 (bools and integral floats pass), else an
+    ``InvalidInputError``; an upper bound is the caller's."""
+    with np.errstate(invalid="ignore"):  # NaN or inf casts to some integer
+        labels = np.asarray(y).astype(np.int64, copy=False)
+    if not np.array_equal(labels, y):
+        raise InvalidInputError("labels must be integer class indices")
+    if labels.size and labels.min() < 0:
+        raise InvalidInputError(f"labels must be >= 0, found {int(labels.min())}")
+    return labels
 
 
 def charge(reads: np.ndarray, cost_vec) -> float:
@@ -518,7 +533,7 @@ def _validate_batch(tree, X, y, lam=0.0, cost_vec=None):
             raise InvalidInputError("the objective needs a nonempty batch")
     else:
         X, y = training_set(feature_batch(X, tree.n_features), y)
-        if y.min() < 0 or y.max() >= tree.n_classes:
+        if y.max() >= tree.n_classes:
             raise InvalidInputError(f"labels must lie in [0, {tree.n_classes})")
     if lam > 0 and cost_vec is None:
         raise InvalidInputError("the power penalty (lam > 0) requires a cost vector")
@@ -620,9 +635,9 @@ def _check_divergence(tree: ObliqueTree, epoch: int) -> None:
 
 
 def training_set(X, y):
-    """X as a nonempty 2-D float matrix and y as one int label per row."""
+    """X as a nonempty 2-D float matrix and y as one ``class_labels`` per row."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = class_labels(y)
     if X.ndim != 2 or X.shape[0] == 0:
         raise InvalidInputError("X must be a nonempty 2-D matrix")
     if y.shape != (X.shape[0],):
@@ -669,8 +684,8 @@ def train(X, y, config: TrainConfig, cost_vec=None, *, n_classes=None,
     the trained state; ``init_tree``'s is not moved.
 
     Raises ``InvalidInputError`` for an invalid config, an empty or non-2-D
-    ``X``, labels that are not one per row of ``X`` or lie outside
-    ``[0, n_classes)``, and ``lam > 0`` without a cost vector.  Raises
+    ``X``, labels that are not one ``class_labels`` label below
+    ``n_classes`` per row, and ``lam > 0`` without finite prices.  Raises
     ``NumericError`` when a forward pass turns non-finite or, after any
     epoch, when the full-data loss is non-finite or some parameter exceeds
     ``MAX_PARAM_ABS`` (1e6) in magnitude; see ``_check_divergence``.

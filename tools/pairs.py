@@ -181,6 +181,15 @@ def workload_list(text: str) -> list[str]:
     return names
 
 
+def pair_count(text: str) -> int:
+    """``--pairs``: a whole number of pairs, at least one, so that every
+    summary has runs to take medians of."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 pair, got {text!r}")
+    return n
+
+
 def check_differs(rev: str, repo: Path = ROOT) -> None:
     """Fail when the working tree is clean and ``rev`` is its HEAD, and with
     git's first line of error when ``repo`` is no git checkout or lacks
@@ -202,7 +211,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, type=workload_list,
                         help="a workload name or a comma-separated list")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--parent", required=True, help="git rev to compare against")
     args = parser.parse_args(argv)
     check_differs(args.parent)
