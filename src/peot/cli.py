@@ -10,12 +10,14 @@ as flags.  ``_stored_test_indices`` alone decides a model's held-out rows,
 which ``eval`` scores and ``compress`` leaves out of its fine-tuning.  Exit
 codes: 0 success, 2 config error, 3 data error, 4 numeric failure.  A bad
 flag, config file, ``--feature-spec`` or ``--cost-table`` exits 2, a table
-with a non-finite price (``json`` reads ``Infinity``) among them.  A
-malformed ``dataset.json`` or ``model.json`` exits 3 (so do a dataset
-without rows, a non-finite feature or sample and a feature matrix of other
-than bool, int or float values), and so does a stored pipeline that is
-malformed (a non-finite price too) or does not fit the recording it
-featurises, or a feature matrix whose column count is not the model's.
+with a non-finite price (``json`` reads ``Infinity``) among them, and so
+does either flag given to ``compress`` or ``eval`` with a model that stores
+its own feature spec.  A malformed ``dataset.json`` or ``model.json`` exits
+3 (so do a dataset without rows, a non-finite feature or sample and a
+feature matrix of other than bool, int or float values), and so does a
+stored pipeline that is malformed (a non-finite price too) or does not fit
+the recording it featurises, or a feature matrix whose column count is not
+the model's.
 """
 
 import argparse
@@ -251,6 +253,19 @@ def _load_model_doc(path):
     return doc, serialize.model_from_doc(doc.core, path, "core")
 
 
+def _check_no_pipeline_flags(doc, resolved) -> None:
+    """A model that stores its feature spec is featurised by it alone, so a
+    ``--feature-spec`` or ``--cost-table`` beside it is a config error, not
+    a flag ignored."""
+    if doc.pipeline.feature_spec is None:
+        return
+    for name in FEATURES:
+        if resolved[name]:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply: "
+                              f"{resolved['model']} stores the feature spec and "
+                              f"cost table its model reads")
+
+
 # ---------------------------------------------------------------------------
 # feature pipeline helpers
 
@@ -424,6 +439,7 @@ def cmd_compress(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
     if not isinstance(model, tree_mod.ObliqueTree):
         raise ConfigError("compress applies to oblique-tree models")
+    _check_no_pipeline_flags(doc, resolved)
     cfg = TrainConfig.from_doc(doc.train.config, resolved["model"], "train.config")
     container, X, y, c, _ = _load_featurized(resolved["dataset"], resolved, doc.pipeline)
     _check_fits(X, model, resolved["dataset"])
@@ -453,6 +469,7 @@ def cmd_compress(resolved, out):
 
 def cmd_eval(resolved, out):
     doc, model = _load_model_doc(resolved["model"])
+    _check_no_pipeline_flags(doc, resolved)
     container = _load_dataset(resolved["dataset"])
     y = _labels(container)
     n_classes = int(y.max()) + 1 if doc.train.n_classes is None else doc.train.n_classes

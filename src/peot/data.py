@@ -2,8 +2,13 @@
 
 Two container kinds exist: a ``Recording`` of labeled multi-channel signal
 windows, and a flat feature-matrix ``Dataset``, stored through the
-``serialize`` codec.  A container file adds a content fingerprint so
-downstream folds and reports can assert they ran on identical data.
+``serialize`` codec.  Both take their labels through ``tree.class_labels``,
+the one label rule, as a ``DataError``.  A container file adds a content
+fingerprint so downstream folds and reports can assert they ran on
+identical data; the fingerprint hashes the arrays, not the file.  A
+container with an array of 4 MiB or more (the windows of an 800-window
+seizure recording) is a version-2 file, that array's raw bytes after the
+JSON line; any other is a version-1 file, one JSON line with base64 arrays.
 """
 
 import csv
@@ -15,15 +20,18 @@ import numpy as np
 
 from . import serialize
 from .errors import DataError, InvalidInputError
+from .tree import class_labels
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
-def _check_labels(labels: np.ndarray) -> None:
-    """Class labels index classes from 0; a negative one is bad data."""
-    if labels.size and labels.min() < 0:
-        raise DataError(f"labels must be >= 0, found {int(labels.min())}")
+def _labels(labels) -> np.ndarray:
+    """``tree.class_labels`` of a container's labels; a bad one is bad data."""
+    try:
+        return class_labels(labels)
+    except InvalidInputError as exc:
+        raise DataError(str(exc)) from exc
 
 
 @dataclass
@@ -37,7 +45,7 @@ class Recording(serialize.Stored, kind="recording"):
 
     def __post_init__(self):
         self.windows = np.asarray(self.windows, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = _labels(self.labels)
         if self.windows.ndim != 3:
             raise InvalidInputError("windows must be (n_windows, n_channels, len)")
         if self.windows.shape[0] != self.labels.shape[0]:
@@ -48,7 +56,6 @@ class Recording(serialize.Stored, kind="recording"):
             raise InvalidInputError("sampling rate must be positive")
         if not np.isfinite(self.windows).all():
             raise DataError("recording contains non-finite samples")
-        _check_labels(self.labels)
 
     @property
     def n_windows(self) -> int:
@@ -75,7 +82,7 @@ class Dataset(serialize.Stored, kind="dataset"):
 
     def __post_init__(self):
         self.X = np.asarray(self.X)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        self.y = _labels(self.y)
         if self.X.ndim != 2:
             raise InvalidInputError("X must be 2-D")
         if self.X.dtype.kind not in "biuf":
@@ -86,7 +93,6 @@ class Dataset(serialize.Stored, kind="dataset"):
             raise InvalidInputError("feature_names length must match X columns")
         if np.issubdtype(self.X.dtype, np.inexact) and not np.isfinite(self.X).all():
             raise DataError("dataset contains non-finite feature values")
-        _check_labels(self.y)
 
     @property
     def n_classes(self) -> int:

@@ -166,10 +166,15 @@ def class_labels(y) -> np.ndarray:
     """The one check of class labels, for both model kinds and the metrics:
     ``y`` as int64 integers >= 0 (bools and integral floats pass), else an
     ``InvalidInputError``; an upper bound is the caller's."""
-    with np.errstate(invalid="ignore"):  # NaN or inf casts to some integer
-        labels = np.asarray(y).astype(np.int64, copy=False)
-    if not np.array_equal(labels, y):
-        raise InvalidInputError("labels must be integer class indices")
+    labels = np.asarray(y)
+    if labels.dtype != np.int64:  # int64 labels are integers as they are
+        try:
+            with np.errstate(invalid="ignore"):  # NaN or inf casts to some integer
+                labels = labels.astype(np.int64)
+        except (TypeError, ValueError):  # such as a string that is no number
+            labels = None
+        if labels is None or not np.array_equal(labels, y):
+            raise InvalidInputError("labels must be integer class indices")
     if labels.size and labels.min() < 0:
         raise InvalidInputError(f"labels must be >= 0, found {int(labels.min())}")
     return labels
