@@ -112,7 +112,7 @@ CONTAINERS = {cls.KIND: cls for cls in (Recording, Dataset)}
 def save_container(obj, path) -> None:
     if not isinstance(obj, (Recording, Dataset)):
         raise InvalidInputError(f"cannot serialize {type(obj).__name__}")
-    doc = obj.to_doc()
+    doc = serialize.encode(obj, raw=True)  # a large array is written raw
     doc["fingerprint"] = obj.fingerprint()
     serialize.write_document(doc, path)
 

@@ -21,16 +21,18 @@ object twice gives the same bytes.
 
 A file holds one document in one of two versions, after the layout of
 NumPy's ``.npy`` (NEP 1).  In version 1 every array is base64 text under
-``data``, and the file is the JSON line alone.  An array of at least
-``_RAW_MIN_NBYTES`` is written raw instead: its entry is ``dtype``,
-``shape``, ``offset`` and ``nbytes``, the document says ``"version": 2``,
-and the payloads follow its JSON line in offset order, contiguous and
-C-ordered, up to the end of the file.  Only recordings and datasets hold
-arrays that large; a model document stays version 1.  Reading a version-2
-file checks that its entries tile the bytes after the line exactly, so a
-truncated payload, trailing bytes or an entry that overlaps another, leaves a
-gap or disagrees with its dtype and shape is a ``DataError`` naming the
-file and key, and so is a raw entry in a version-1 document.
+``data``, and the file is the JSON line alone.  A document encoded with
+``raw=True`` (only ``data.save_container`` does) writes each array of at
+least ``_RAW_MIN_NBYTES`` raw instead: its entry is ``dtype``, ``shape``,
+``offset`` and ``nbytes``, the document says ``"version": 2``, and the
+payloads follow its JSON line in offset order, contiguous and C-ordered, up
+to the end of the file.  Every other document, a model document whatever
+its array sizes too, is version 1, so ``to_doc`` is always plain JSON.
+Reading a version-2 file checks that its entries tile the bytes after the
+line exactly, so a truncated payload, trailing bytes, no raw entry at all or
+an entry that overlaps another, leaves a gap or disagrees with its dtype and
+shape is a ``DataError`` naming the file and key, and so is a raw entry in
+a version-1 document.
 
 Array payloads are read, written and hashed from the buffers already held:
 a raw payload is written from the array and read back with ``np.fromfile``,
@@ -72,21 +74,20 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _WRITE_SLICE = 1 << 20
 
 
-def encode_array(arr: np.ndarray) -> dict | np.ndarray:
-    """The base64 document of ``arr``; an array of at least ``_RAW_MIN_NBYTES``
-    is returned as itself, C-ordered and little-endian, for ``write_document``
-    to store raw."""
-    arr = np.ascontiguousarray(arr)
-    # normalize to little-endian so documents are portable
-    dt = arr.dtype.newbyteorder("<")
-    arr = arr.astype(dt, copy=False)
-    if arr.nbytes >= _RAW_MIN_NBYTES:
-        return arr
+def encode_array(arr: np.ndarray) -> dict:
+    """The base64 document of ``arr``, C-ordered and little-endian."""
+    arr = _little_endian(arr)
     return {
-        "dtype": dt.str,
+        "dtype": arr.dtype.str,
         "shape": list(arr.shape),
         "data": binascii.b2a_base64(arr, newline=False).decode("ascii"),
     }
+
+
+def _little_endian(arr: np.ndarray) -> np.ndarray:
+    """``arr`` C-ordered and little-endian, so documents are portable."""
+    arr = np.ascontiguousarray(arr)
+    return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
 
 
 def decode_array(doc: dict, dtype=None, disk=None, where="<doc>",
@@ -150,6 +151,9 @@ class _Payload:
                            offset=self.start + offset).reshape(shape)
 
     def check(self) -> None:
+        if not self.spans:
+            raise DataError(f"{self.path}: a version-{RAW_VERSION} document "
+                            f"without a raw array")
         end = 0
         for offset, nbytes, where in sorted(self.spans):
             if offset != end:
@@ -169,7 +173,8 @@ def write_document(doc: dict, path) -> None:
     """Write ``doc`` to ``path``: its JSON line, chunk by chunk as the
     encoder yields them, each in slices of at most ``_WRITE_SLICE``
     characters, so neither the joined text nor its encoding is held; then
-    the payload of each array ``encode_array`` left raw, from the array."""
+    the payload of each array ``encode(..., raw=True)`` left in ``doc``,
+    from the array."""
     arrays = []
     doc = _raw_entries(doc, arrays)
     if arrays:
@@ -277,19 +282,24 @@ def omitted_when_none():
     return dataclasses.field(default=None, metadata={"omitted_when_none": True})
 
 
-def encode(value, disk=None):
-    """The document of a ``Stored`` object, or of one field's value."""
+def encode(value, disk=None, raw=False):
+    """The document of a ``Stored`` object, or of one field's value.  With
+    ``raw``, an array of at least ``_RAW_MIN_NBYTES`` is left as itself,
+    C-ordered and little-endian, for ``write_document`` to store raw."""
     if isinstance(value, Stored):
         doc = new_document(value.KIND) if value.KIND else {}
         for f in dataclasses.fields(value):
             v = getattr(value, f.name)
             if v is not None or not f.metadata.get("omitted_when_none"):
-                doc[f.name] = encode(v, f.metadata.get("disk"))
+                doc[f.name] = encode(v, f.metadata.get("disk"), raw)
         return doc
     if isinstance(value, np.ndarray):
-        return encode_array(value if disk is None else value.astype(disk, copy=False))
+        arr = value if disk is None else value.astype(disk, copy=False)
+        if raw and arr.nbytes >= _RAW_MIN_NBYTES:
+            return _little_endian(arr)
+        return encode_array(arr)
     if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
+        return [encode(v, raw=raw) for v in value]
     return value
 
 
@@ -307,15 +317,13 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
     if origin is np.ndarray:
         return decode_array(value, metadata.get("dtype"), metadata.get("disk"), where,
                             payload)
-    if origin is float and type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
     # a tuple is stored as a list, a Stored class as an object
     json_type = list if origin is tuple else origin if origin in _JSON_NAMES else dict
-    if type(value) is not json_type:  # so a bool is not an int
-        raise DataError(f"{where}: expected {_JSON_NAMES[json_type]}, "
-                        f"found {reprlib.repr(value)}")
+    value = _json_value(json_type, value, path, key)
     if origin is list and typing.get_args(kind) in _SCALAR_ITEMS:
-        return _scalar_list(*typing.get_args(kind), value, path, key)
+        # a list of scalars is checked item by item here, not by a decode each
+        (item,) = typing.get_args(kind)
+        return [_json_value(item, v, path, f"{key}[{i}]") for i, v in enumerate(value)]
     if origin in (list, tuple):
         # list[T] holds any number of T, tuple[A, B] exactly an A and a B
         items = typing.get_args(kind) * (len(value) if origin is list else 1)
@@ -347,16 +355,15 @@ def decode(kind, value, path="<doc>", key="", metadata=types.MappingProxyType({}
         raise DataError(f"{where}: {exc}") from exc
 
 
-def _scalar_list(item, value: list, path, key) -> list:
-    """A JSON list of ``item`` scalars, checked and copied in one pass."""
-    if item is float:
-        value = [float(v) if type(v) is int and abs(v) <= sys.float_info.max else v
-                 for v in value]
-    bad = next((i for i, v in enumerate(value) if type(v) is not item), None)
-    if bad is not None:
-        raise DataError(f"{path}: {key}[{bad}]: expected {_JSON_NAMES[item]}, "
-                        f"found {reprlib.repr(value[bad])}")
-    return value if item is float else list(value)
+def _json_value(json_type, value, path, key):
+    """``value``, which must be of ``json_type`` (a float may be stored as
+    an int; a bool is no int), found at ``key`` of the file ``path``."""
+    if json_type is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) is not json_type:
+        raise DataError(f"{_where(path, key)}: expected {_JSON_NAMES[json_type]}, "
+                        f"found {reprlib.repr(value)}")
+    return value
 
 
 def decode_kind(doc, classes: dict, path="<doc>", key=""):
@@ -380,7 +387,7 @@ def _layout(cls) -> tuple:
 
 _JSON_NAMES = {int: "an integer", float: "a number", str: "a string",
                list: "a JSON list", dict: "a JSON object"}
-_SCALAR_ITEMS = ((int,), (float,), (str,))  # the list[T] that decode in one pass
+_SCALAR_ITEMS = ((int,), (float,), (str,))  # the list[T] checked without a decode per item
 
 
 def _where(path, key) -> str:

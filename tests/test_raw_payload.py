@@ -235,6 +235,12 @@ def _drop_key(h, p):
     return h, p
 
 
+def _no_raw_array(h, p):
+    entry = h["windows"]
+    h["windows"] = old_encode_array(np.frombuffer(p, entry["dtype"]).reshape(entry["shape"]))
+    return h, b""
+
+
 # edit of (header, payload) -> text the error message holds
 MALFORMED = {
     "truncated": (lambda h, p: (h, p[:-8]), "truncated"),
@@ -252,6 +258,8 @@ MALFORMED = {
                                "windows: a raw array entry in a version-1 document"),
     "raw-entry-in-version-1-with-payload": (lambda h, p: ({**h, "version": 1}, p),
                                             "not an ASCII JSON document"),
+    "version-2-without-a-raw-array": (_no_raw_array,
+                                      "a version-2 document without a raw array"),
     "altered-fingerprint": (_fingerprint, "fingerprint mismatch"),
     "altered-payload": (_payload_byte, "fingerprint mismatch"),
 }
@@ -309,6 +317,45 @@ def test_a_version_2_model_document_is_refused(tmp_path):
     doc["version"] = 2
     with pytest.raises(DataError, match="expected version 1, found 2"):
         serialize.model_from_doc(doc, "m.json", "core")
+
+
+def test_a_version_2_model_json_exits_data(both_versions, model_of_a_recording,
+                                           tmp_path, capsys):
+    doc = json.loads(model_of_a_recording.read_text())
+    doc["version"] = 2
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps_canonical(doc))
+    out = tmp_path / "out"
+    assert _quiet(["eval", "--model", str(path), "--dataset", str(both_versions["v1"]),
+                   "--out", str(out)]) == EXIT_DATA
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == f"{path}: a version-2 document without a raw array"
+    assert list(out.iterdir()) == []
+
+
+def test_a_model_with_a_large_array_stays_version_1(tmp_path):
+    """Only containers are written raw: a tree whose W1 (1 x 8200 x 64
+    float64) is above the threshold trains, compresses and evaluates
+    through one-line base64 model documents."""
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((60, 64))
+    ds = tmp_path / "d.json"
+    save_container(Dataset(X, (X[:, 0] > 0).astype(int),
+                           feature_names=[f"f{i}" for i in range(64)]), ds)
+    train, compress = tmp_path / "train", tmp_path / "compress"
+    assert _quiet(["train", "--dataset", str(ds), "--out", str(train), "--depth", "1",
+                   "--hidden", "8200", "--epochs", "2", "--warmup-epochs", "1"]) == 0
+    assert _quiet(["compress", "--model", str(train / "model.json"), "--dataset", str(ds),
+                   "--out", str(compress), "--epochs", "1"]) == 0
+    assert _quiet(["eval", "--model", str(compress / "model.json"), "--dataset", str(ds),
+                   "--out", str(tmp_path / "eval")]) == 0
+    for step in (train, compress):
+        raw = (step / "model.json").read_bytes()
+        doc = json.loads(raw)
+        assert doc["version"] == 1 and raw == serialize.dumps_canonical(doc).encode("ascii")
+        tree = serialize.model_from_doc(doc["core"], "model.json", "core")
+        assert tree.W1.nbytes >= serialize._RAW_MIN_NBYTES
+        assert serialize.dumps_canonical(tree.to_doc()) == serialize.dumps_canonical(doc["core"])
 
 
 # ---------------------------------------------------------------------------
